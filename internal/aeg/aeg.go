@@ -5,18 +5,33 @@
 // Edge-presence formulas (Fig. 7) become constraints over these variables:
 // po implies tfo, a mis-speculation window extends down the wrong arm of an
 // architecturally-executed branch for at most the speculation bound, and a
-// transient node's operands must themselves be fetched. Window constraints
-// are encoded lazily, per branch, on first use — the directed-search
-// structure that keeps Clou's solver queries small (§5.3).
+// transient node's operands must themselves be fetched.
+//
+// An AEG has two halves, each built on first use, so a function whose
+// queries the pre-solver decides statically never pays for the solver:
+//
+//   - the dense windows (windows.go): per branch, the nodes fetchable down
+//     each arm within the speculation bound, as one bitset plus a sorted
+//     member list with parallel arm and distance slices. Branches,
+//     InWindow, WindowInfo and ForEachWindowNode read only this half.
+//   - the solver encoding: an smt.Solver holding the architectural path
+//     semantics. Any solver-facing call (Arch, Take, Exec, ExecUnder,
+//     Misspec, TransUnder, Check*, Model) builds it. Each branch's window
+//     constraints are asserted later still, on the first query that names
+//     the branch — the directed-search structure that keeps Clou's solver
+//     queries small (§5.3).
+//
+// An AEG is not safe for concurrent use.
 package aeg
 
 import (
 	"context"
-	"fmt"
+	"slices"
+	"strconv"
+	"time"
 
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
-	"lcm/internal/dataflow"
 	"lcm/internal/sat"
 	"lcm/internal/smt"
 )
@@ -49,270 +64,224 @@ func (o *Options) defaults() {
 type AEG struct {
 	G     *acfg.Graph
 	Alias *alias.Analysis
-	S     *smt.Solver
 	Opts  Options
 
-	arch    []*smt.Expr          // per node: executes architecturally
-	take    map[int]*smt.Expr    // branch → first successor taken
-	misspec map[int]*smt.Expr    // branch → window opened (lazily encoded)
-	transIn map[[2]int]*smt.Expr // (branch, node) → node in that window
-	encoded map[int]bool         // branches whose window is asserted
-	// windows[b]: nodes reachable from either arm of b within the
-	// speculation bound without crossing a fence, flagged per arm.
-	windows map[int]map[int][2]bool
-	// winBits[b]: dense mirror of windows[b]'s key set — the detectors
-	// probe window membership once per (candidate, branch), where the
-	// nested map hash is measurable.
-	winBits map[int]dataflow.BitSet
-	// windist[b]: minimum fetch distance of each window node from b (the
-	// first node of an arm is at distance 1).
-	windist map[int]map[int]int
+	win    *windows // dense windows; nil until the first window access
+	s      *smt.Solver
+	budget sat.Budget // applied to s when it is built
+	// arch[n] is node n's architectural-execution variable; take[b] branch
+	// b's direction variable (nil for non-branch nodes). Both are nil
+	// until the solver is built.
+	arch []*smt.Expr
+	take []*smt.Expr
+	// buildTime accumulates the time spent building either half and
+	// encoding branch windows.
+	buildTime time.Duration
 }
 
-// Build constructs the AEG, asserts the architectural path semantics, and
-// precomputes (but does not yet assert) the speculation windows.
+// Build returns the AEG of g. It does no work up front: the windows and
+// the solver encoding are each built on first use.
 func Build(g *acfg.Graph, al *alias.Analysis, opts Options) *AEG {
 	opts.defaults()
-	a := &AEG{
-		G:       g,
-		Alias:   al,
-		S:       smt.NewSolverMode(opts.SolverMode),
-		Opts:    opts,
-		take:    map[int]*smt.Expr{},
-		misspec: map[int]*smt.Expr{},
-		transIn: map[[2]int]*smt.Expr{},
-		encoded: map[int]bool{},
-		windows: map[int]map[int][2]bool{},
-		winBits: map[int]dataflow.BitSet{},
-		windist: map[int]map[int]int{},
+	return &AEG{G: g, Alias: al, Opts: opts}
+}
+
+// BuildTime reports the time spent so far building the windows, the
+// architectural encoding and the per-branch window encodings.
+func (a *AEG) BuildTime() time.Duration { return a.buildTime }
+
+// windows returns the dense windows, building them on first use.
+func (a *AEG) windows() *windows {
+	if a.win == nil {
+		t0 := time.Now()
+		bound := min(a.Opts.ROB, a.Opts.Wsize)
+		a.win = buildWindows(a.G, bound)
+		a.buildTime += time.Since(t0)
 	}
-	a.encodeArch()
-	a.computeWindows()
-	return a
+	return a.win
+}
+
+// solver returns the solver, building it and asserting the architectural
+// path semantics on first use.
+func (a *AEG) solver() *smt.Solver {
+	if a.s == nil {
+		t0 := time.Now()
+		a.s = smt.NewSolverMode(a.Opts.SolverMode)
+		a.s.SetBudget(a.budget)
+		a.encodeArch()
+		a.buildTime += time.Since(t0)
+	}
+	return a.s
+}
+
+// SetBudget bounds the search effort of every later solver call (see
+// sat.Budget); it takes effect whenever the solver is built.
+func (a *AEG) SetBudget(b sat.Budget) {
+	a.budget = b
+	if a.s != nil {
+		a.s.SetBudget(b)
+	}
+}
+
+// AbortCause classifies the last Unknown verdict (see smt.Solver.AbortCause);
+// nil if the solver was never built.
+func (a *AEG) AbortCause() error {
+	if a.s == nil {
+		return nil
+	}
+	return a.s.AbortCause()
 }
 
 // Arch returns the architectural-execution variable of node n.
-func (a *AEG) Arch(n int) *smt.Expr { return a.arch[n] }
+func (a *AEG) Arch(n int) *smt.Expr {
+	a.solver()
+	return a.arch[n]
+}
 
 // Take returns the branch-direction variable of branch node b (true =
 // first successor).
-func (a *AEG) Take(b int) *smt.Expr { return a.take[b] }
-
-// Misspec returns branch b's mis-speculation variable, encoding its window
-// constraints on first use.
-func (a *AEG) Misspec(b int) *smt.Expr {
-	a.encodeBranch(b)
-	return a.misspec[b]
+func (a *AEG) Take(b int) *smt.Expr {
+	a.solver()
+	return a.take[b]
 }
 
-// Exec returns the formula "node n is fetched when branch b
+// Misspec returns branch b's mis-speculation variable, encoding its window
+// constraints on first use; nil (true in an assumption list) if b opens no
+// window.
+func (a *AEG) Misspec(b int) *smt.Expr {
+	w := a.encodeBranch(b)
+	if w == nil {
+		return nil
+	}
+	return w.misspec
+}
+
+// ExecUnder returns the formula "node n is fetched when branch b
 // mis-speculates": architecturally, or transiently inside b's window.
 func (a *AEG) ExecUnder(b, n int) *smt.Expr {
-	return smt.Or(a.arch[n], a.TransUnder(b, n))
+	return smt.Or(a.Arch(n), a.TransUnder(b, n))
 }
 
 // Exec returns the formula "node n executes architecturally" — for
 // queries that do not involve a speculation window (STL paths).
-func (a *AEG) Exec(n int) *smt.Expr { return a.arch[n] }
+func (a *AEG) Exec(n int) *smt.Expr { return a.Arch(n) }
+
+// TransUnder returns the variable "node n is transient in branch b's
+// window", or False if n is outside every window of b.
+func (a *AEG) TransUnder(b, n int) *smt.Expr {
+	if w := a.encodeBranch(b); w != nil {
+		if i, ok := w.index(n); ok {
+			return w.trans[i]
+		}
+	}
+	return a.s.False()
+}
 
 // encodeArch asserts the architectural path semantics: the entry executes;
 // a node executes iff control reaches it along resolved branch outcomes.
+// Each node's definition is emitted as direct clauses over one edge
+// literal per incoming edge — arch[n] → ∨ edges, and edge → arch[n] — so
+// only a branch edge needs a Tseitin gate (arch[p] ∧ ±take[p]).
 func (a *AEG) encodeArch() {
-	g := a.G
+	g, s := a.G, a.s
 	a.arch = make([]*smt.Expr, len(g.Nodes))
-	for _, id := range g.Topo() {
-		a.arch[id] = a.S.Var(fmt.Sprintf("arch!%d", id))
+	a.take = make([]*smt.Expr, len(g.Nodes))
+	topo := g.Topo()
+	for _, id := range topo {
+		a.arch[id] = s.NewVar(varName("arch!", id))
 	}
 	for _, n := range g.Nodes {
 		if n.IsBranch() {
-			a.take[n.ID] = a.S.Var(fmt.Sprintf("take!%d", n.ID))
+			a.take[n.ID] = s.NewVar(varName("take!", n.ID))
 		}
 	}
-	a.S.Assert(a.arch[g.Entry])
-	for _, id := range g.Topo() {
+	s.AssertClause(a.arch[g.Entry])
+	var ins []*smt.Expr
+	for _, id := range topo {
 		if id == g.Entry {
 			continue
 		}
-		var ins []*smt.Expr
+		self := a.arch[id]
+		ins = append(ins[:0], smt.Not(self))
 		for _, p := range g.Preds(id) {
-			pn := g.Nodes[p]
-			cond := a.arch[p]
-			if pn.IsBranch() {
+			edge := a.arch[p]
+			if g.Nodes[p].IsBranch() {
 				succ := g.Succs(p)
 				switch {
 				case len(succ) < 2 || (succ[0] == id && succ[1] == id):
 					// degenerate branch (cut back edge): unconditional
 				case succ[1] == id && succ[0] != id:
-					cond = smt.And(cond, smt.Not(a.take[p]))
+					edge = smt.And(edge, smt.Not(a.take[p]))
 				default:
-					cond = smt.And(cond, a.take[p])
+					edge = smt.And(edge, a.take[p])
 				}
 			}
-			ins = append(ins, cond)
+			s.AssertClause(smt.Not(edge), self)
+			ins = append(ins, edge)
 		}
-		if len(ins) == 0 {
-			a.S.Assert(smt.Not(a.arch[id]))
-			continue
-		}
-		a.S.Assert(smt.Iff(a.arch[id], smt.Or(ins...)))
+		s.AssertClause(ins...)
 	}
 }
 
-// computeWindows statically derives each branch's speculation window: the
-// nodes fetchable down each arm within the min(ROB, Wsize) bound without
-// crossing an lfence (§6.1).
-func (a *AEG) computeWindows() {
-	for _, b := range a.G.Nodes {
-		if !b.IsBranch() {
-			continue
-		}
-		succ := a.G.Succs(b.ID)
-		if len(succ) < 2 {
-			continue
-		}
-		win := map[int][2]bool{}
-		dist := map[int]int{}
-		for arm := 0; arm < 2; arm++ {
-			for n, d := range a.windowFrom(succ[arm]) {
-				w := win[n]
-				w[arm] = true
-				win[n] = w
-				if old, ok := dist[n]; !ok || d+1 < old {
-					dist[n] = d + 1
-				}
-			}
-		}
-		a.windows[b.ID] = win
-		a.windist[b.ID] = dist
-		bits := dataflow.NewBitSet(a.G.Len())
-		for n := range win {
-			bits.Set(n)
-		}
-		a.winBits[b.ID] = bits
-	}
-}
+// varName renders an encoding variable's name: prefix followed by id.
+func varName(prefix string, id int) string { return prefix + strconv.Itoa(id) }
 
-// encodeBranch lazily asserts branch b's window semantics: misspec implies
-// the branch executes architecturally; a node is transient in the window
-// only down the arm the branch did not take; and a transient node's
-// operand definitions must be fetched (architecturally before the branch,
-// or transiently inside the same window).
-func (a *AEG) encodeBranch(b int) {
-	if a.encoded[b] {
-		return
+// encodeBranch asserts branch b's window semantics on first use and
+// returns its window (nil if b opens none): misspec implies the branch
+// executes architecturally; a node is transient in the window only down
+// the arm the branch did not take; and a transient node's operand
+// definitions must be fetched (architecturally before the branch, or
+// transiently inside the same window). Variables are numbered in member
+// order, so the encoding is run-to-run deterministic.
+func (a *AEG) encodeBranch(b int) *window {
+	s := a.solver()
+	w := a.windows().of(b)
+	if w == nil || w.misspec != nil {
+		return w
 	}
-	win, ok := a.windows[b]
-	if !ok {
-		return
+	t0 := time.Now()
+	m := s.NewVar(varName("misspec!", b))
+	w.misspec = m
+	s.AssertClause(smt.Not(m), a.arch[b])
+	w.trans = make([]*smt.Expr, len(w.members))
+	prefix := varName("transin!", b) + "!"
+	for i, n := range w.members {
+		w.trans[i] = s.NewVar(varName(prefix, int(n)))
 	}
-	a.encoded[b] = true
-	m := a.S.Var(fmt.Sprintf("misspec!%d", b))
-	a.misspec[b] = m
-	a.S.Assert(smt.Implies(m, a.arch[b]))
-	// Window nodes are visited in sorted order so SMT variable numbering
-	// and clause order are run-to-run deterministic; otherwise the CDCL
-	// search (and its effort counters in run reports) would depend on Go
-	// map iteration order.
-	nodes := make([]int, 0, len(win))
-	for n := range win {
-		nodes = append(nodes, n)
-	}
-	sortInts(nodes)
-	for _, n := range nodes {
-		arms := win[n]
-		v := a.S.Var(fmt.Sprintf("transin!%d!%d", b, n))
-		a.transIn[[2]int{b, n}] = v
-		var armOK []*smt.Expr
-		if arms[0] {
-			armOK = append(armOK, smt.Not(a.take[b]))
+	take, notTake := a.take[b], smt.Not(a.take[b])
+	for i, v := range w.trans {
+		notV := smt.Not(v)
+		s.AssertClause(notV, m)
+		switch w.arms[i] {
+		case armFirst:
+			s.AssertClause(notV, notTake)
+		case armSecond:
+			s.AssertClause(notV, take)
 		}
-		if arms[1] {
-			armOK = append(armOK, a.take[b])
-		}
-		a.S.Assert(smt.Implies(v, smt.And(m, smt.Or(armOK...))))
 	}
 	// Data feasibility, within this window.
-	for _, n := range nodes {
-		node := a.G.Nodes[n]
-		v := a.transIn[[2]int{b, n}]
-		for _, defs := range node.ArgDefs {
+	var clause []*smt.Expr
+	for i, n := range w.members {
+		for _, defs := range a.G.Nodes[n].ArgDefs {
 			if len(defs) == 0 {
 				continue
 			}
-			var any []*smt.Expr
+			clause = append(clause[:0], smt.Not(w.trans[i]))
 			for _, d := range defs {
-				e := a.arch[d]
-				if dv, ok := a.transIn[[2]int{b, d}]; ok {
-					e = smt.Or(e, dv)
+				clause = append(clause, a.arch[d])
+				if j, ok := w.index(d); ok {
+					clause = append(clause, w.trans[j])
 				}
-				any = append(any, e)
 			}
-			a.S.Assert(smt.Implies(v, smt.Or(any...)))
+			s.AssertClause(clause...)
 		}
 	}
-}
-
-// windowFrom returns nodes reachable from start within the speculation
-// bound, stopping at lfence nodes, each mapped to its BFS depth from
-// start (start itself is at depth 0).
-func (a *AEG) windowFrom(start int) map[int]int {
-	bound := a.Opts.ROB
-	if a.Opts.Wsize < bound {
-		bound = a.Opts.Wsize
-	}
-	out := map[int]int{}
-	if a.G.Nodes[start].IsFence() && a.G.Nodes[start].Instr.Sub == "lfence" {
-		return out
-	}
-	out[start] = 0
-	frontier := []int{start}
-	for depth := 0; depth < bound && len(frontier) > 0; depth++ {
-		var next []int
-		for _, n := range frontier {
-			for _, s := range a.G.Succs(n) {
-				if _, seen := out[s]; seen {
-					continue
-				}
-				sn := a.G.Nodes[s]
-				if sn.IsFence() && sn.Instr.Sub == "lfence" {
-					continue // speculation barrier
-				}
-				out[s] = depth + 1
-				next = append(next, s)
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
-// TransUnder returns the variable "node n is transient in branch b's
-// window", or False if n is outside every window of b.
-func (a *AEG) TransUnder(b, n int) *smt.Expr {
-	a.encodeBranch(b)
-	if v, ok := a.transIn[[2]int{b, n}]; ok {
-		return v
-	}
-	return a.S.False()
+	a.buildTime += time.Since(t0)
+	return w
 }
 
 // Branches lists the branch nodes that can open windows, sorted.
-func (a *AEG) Branches() []int {
-	var out []int
-	for b := range a.windows {
-		out = append(out, b)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
+func (a *AEG) Branches() []int { return slices.Clone(a.windows().branches) }
 
 // WindowInfo reports whether node n lies inside some speculation window
 // of branch b and, if so, down which arms it is fetchable and its minimum
@@ -320,42 +289,43 @@ func sortInts(xs []int) {
 // pre-solver (internal/presolve) consumes, engine-agnostically, through
 // its WindowSource contract.
 func (a *AEG) WindowInfo(b, n int) (arms [2]bool, dist int, ok bool) {
-	win, okb := a.windows[b]
-	if !okb {
+	w := a.windows().of(b)
+	if w == nil || !w.bits.Has(n) {
 		return arms, 0, false
 	}
-	arms, ok = win[n]
-	if !ok {
-		return arms, 0, false
-	}
-	return arms, a.windist[b][n], true
+	i, _ := w.index(n)
+	return w.arms[i].pair(), int(w.dist[i]), true
 }
 
 // ForEachWindowNode visits every node of branch b's speculation window
-// with its arm fetchability — presolve.WindowEnumerator's fast path over
-// probing WindowInfo per graph node. Iteration order is the windows map's,
-// i.e. unspecified; callers must not depend on it.
+// with its arm fetchability, in ascending node order —
+// presolve.WindowEnumerator's fast path over probing WindowInfo per graph
+// node.
 func (a *AEG) ForEachWindowNode(b int, f func(n int, arms [2]bool)) {
-	for n, arms := range a.windows[b] {
-		f(n, arms)
+	w := a.windows().of(b)
+	if w == nil {
+		return
+	}
+	for i, n := range w.members {
+		f(int(n), w.arms[i].pair())
 	}
 }
 
 // InWindow reports whether node n is statically inside some window of b.
 func (a *AEG) InWindow(b, n int) bool {
-	bits, ok := a.winBits[b]
-	return ok && bits.Has(n)
+	w := a.windows().of(b)
+	return w != nil && w.bits.Has(n)
 }
 
 // Check decides a query under the structural constraints.
 func (a *AEG) Check(assumptions ...*smt.Expr) sat.Status {
-	return a.S.Check(assumptions...)
+	return a.solver().Check(assumptions...)
 }
 
 // CheckCtx is Check under a context: a cancelled ctx aborts the solver
 // search promptly with sat.Unknown (the FuncTimeout path of §6.2).
 func (a *AEG) CheckCtx(ctx context.Context, assumptions ...*smt.Expr) sat.Status {
-	return a.S.CheckCtx(ctx, assumptions...)
+	return a.solver().CheckCtx(ctx, assumptions...)
 }
 
 // CheckMemo decides a query through the solver's verdict memo: repeated
@@ -363,60 +333,97 @@ func (a *AEG) CheckCtx(ctx context.Context, assumptions ...*smt.Expr) sat.Status
 // solver call. Memo hits carry no model — witness reconstruction must use
 // Check, which re-solves.
 func (a *AEG) CheckMemo(ctx context.Context, assumptions ...*smt.Expr) (sat.Status, bool) {
-	return a.S.CheckMemo(ctx, assumptions...)
+	return a.solver().CheckMemo(ctx, assumptions...)
 }
 
+// The stats accessors below read the solver's counters; each returns
+// zeros if no query ever built the solver.
+
 // MemoStats reports the solver's query-memo hit/lookup counters.
-func (a *AEG) MemoStats() (hits, lookups int64) { return a.S.MemoStats() }
+func (a *AEG) MemoStats() (hits, lookups int64) {
+	if a.s == nil {
+		return 0, 0
+	}
+	return a.s.MemoStats()
+}
 
 // SolverStats reports the CDCL search-effort counters accumulated by this
 // AEG's solver (decisions, propagations, conflicts, restarts).
 func (a *AEG) SolverStats() (decisions, propagations, conflicts, restarts int64) {
-	return a.S.SatStats()
+	if a.s == nil {
+		return 0, 0, 0, 0
+	}
+	return a.s.SatStats()
 }
 
 // IncrementalStats reports the warm CDCL instance's incremental-solving
 // counters (prefix-reuse depth, root-unit promotions, clause-DB diet).
-func (a *AEG) IncrementalStats() sat.IncStats { return a.S.IncrementalStats() }
+func (a *AEG) IncrementalStats() sat.IncStats {
+	if a.s == nil {
+		return sat.IncStats{}
+	}
+	return a.s.IncrementalStats()
+}
 
 // EncodeStats reports the Tseitin gate counters: gates requested and gates
 // shared through the hash-cons table.
-func (a *AEG) EncodeStats() (gates, shared int64) { return a.S.EncodeStats() }
+func (a *AEG) EncodeStats() (gates, shared int64) {
+	if a.s == nil {
+		return 0, 0
+	}
+	return a.s.EncodeStats()
+}
 
 // ModelCacheHits reports how many queries were answered Sat by extending
 // the last model over newly encoded gates, skipping the solver search.
-func (a *AEG) ModelCacheHits() int64 { return a.S.ModelCacheHits() }
+func (a *AEG) ModelCacheHits() int64 {
+	if a.s == nil {
+		return 0
+	}
+	return a.s.ModelCacheHits()
+}
 
 // SelfCheckStats reports, under Options.SolverMode == smt.ModeCheck, how
 // many query verdicts were replayed on a fresh reference solver and how
 // many disagreed.
-func (a *AEG) SelfCheckStats() (checks, mismatches int64) { return a.S.SelfCheckStats() }
+func (a *AEG) SelfCheckStats() (checks, mismatches int64) {
+	if a.s == nil {
+		return 0, 0
+	}
+	return a.s.SelfCheckStats()
+}
 
 // Model reads back, after a Sat query, the architectural path (node IDs)
 // and the transient nodes (from encoded windows), for witness
 // construction.
 func (a *AEG) Model() (archNodes, transNodes []int, takeDir map[int]bool) {
+	s := a.solver()
 	takeDir = map[int]bool{}
 	transSeen := map[int]bool{}
 	for _, n := range a.G.Topo() {
-		if a.S.Value(a.arch[n]) {
+		if s.Value(a.arch[n]) {
 			archNodes = append(archNodes, n)
 		}
 	}
-	for b := range a.encoded {
-		if !a.S.Value(a.misspec[b]) {
-			continue
-		}
-		for n := range a.windows[b] {
-			if v, ok := a.transIn[[2]int{b, n}]; ok && a.S.Value(v) && !transSeen[n] {
-				transSeen[n] = true
-				transNodes = append(transNodes, n)
+	if a.win != nil {
+		for _, b := range a.win.branches {
+			w := a.win.of(b)
+			if w.misspec == nil || !s.Value(w.misspec) {
+				continue
+			}
+			for i, n := range w.members {
+				if s.Value(w.trans[i]) && !transSeen[int(n)] {
+					transSeen[int(n)] = true
+					transNodes = append(transNodes, int(n))
+				}
 			}
 		}
 	}
-	sortInts(transNodes)
+	slices.Sort(transNodes)
 	for b, v := range a.take {
-		takeDir[b] = a.S.Value(v)
+		if v != nil {
+			takeDir[b] = s.Value(v)
+		}
 	}
 	return archNodes, transNodes, takeDir
 }

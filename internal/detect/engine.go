@@ -300,7 +300,9 @@ type Result struct {
 	Certificates []*presolve.Certificate
 	// Per-stage wall times: FrontendTime covers A-CFG + alias + taint +
 	// reachability + value flow (near zero on a cache hit), EncodeTime
-	// the S-AEG construction, SolveTime the accumulated solver queries.
+	// the S-AEG construction (its windows and solver encoding, whenever
+	// the search first needed them), SolveTime the accumulated solver
+	// queries.
 	FrontendTime time.Duration
 	EncodeTime   time.Duration
 	SolveTime    time.Duration
@@ -420,7 +422,7 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 	}
 	a := aeg.Build(fe.g, fe.al, cfg.AEG)
 	if cfg.MaxConflicts > 0 {
-		a.S.SetBudget(sat.Budget{Conflicts: cfg.MaxConflicts})
+		a.SetBudget(sat.Budget{Conflicts: cfg.MaxConflicts})
 	}
 	encodeTime := time.Since(encodeStart)
 	encSpan.End()
@@ -479,6 +481,7 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 	d.res.TseitinGates, d.res.TseitinShared = a.EncodeStats()
 	d.res.SolverChecks, d.res.SolverMismatches = a.SelfCheckStats()
 	d.res.ModelCacheHits = a.ModelCacheHits()
+	d.res.EncodeTime += a.BuildTime()
 	d.res.Duration = time.Since(start)
 	d.res.record(cfg.Metrics)
 	return d.res, nil
@@ -741,7 +744,7 @@ func (d *detector) query(assumptions ...*smt.Expr) bool {
 	if st == sat.Unknown {
 		// The query aborted mid-search: classify why before giving up.
 		// An Unknown is never a verdict — in particular not UNSAT.
-		cause := d.a.S.AbortCause()
+		cause := d.a.AbortCause()
 		switch {
 		case cause != nil && errors.Is(cause, faults.ErrBudget):
 			d.res.BudgetHit = true

@@ -10,7 +10,7 @@ import (
 
 // Version identifies the report schema / toolchain generation. Bump it
 // when the JSON shape changes; the golden tests pin the serialized form.
-const Version = "0.9.0"
+const Version = "0.10.0"
 
 // Report is the machine-readable run manifest shared by clou -report,
 // lcmlint -report, and cmd/benchjson. All timing-valued fields end in

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"lcm/internal/acfg"
+	"lcm/internal/dataflow"
 	"lcm/internal/detect"
 	"lcm/internal/ir"
 	"lcm/internal/sat"
@@ -90,6 +91,7 @@ func RepairCtx(ctx context.Context, m *ir.Module, fn string, cfg detect.Config, 
 // lfence cuts every finding.
 func minimalFences(res *detect.Result) ([]*ir.Instr, error) {
 	g := res.Graph
+	w := newWalker(g)
 
 	// For each finding, the primitive node and transmitter node.
 	type span struct{ from, to int }
@@ -101,8 +103,9 @@ func minimalFences(res *detect.Result) ([]*ir.Instr, error) {
 			// fence off. The cut is a serializing drain between the store
 			// and every reachable return — the fence forces a verbatim
 			// commit before the elision compare could fire.
+			fwd := w.reach(f.Store, g.Succs)
 			for _, n := range g.Nodes {
-				if n.Instr != nil && n.Instr.Op == ir.OpRet && reaches(g, f.Store, n.ID) {
+				if n.Instr != nil && n.Instr.Op == ir.OpRet && fwd.Has(n.ID) {
 					spans = append(spans, span{f.Store, n.ID})
 				}
 			}
@@ -126,72 +129,96 @@ func minimalFences(res *detect.Result) ([]*ir.Instr, error) {
 		return nil, nil
 	}
 
+	// onPath[i] holds the nodes lying on some primitive→transmit path of
+	// spans[i]: reachable from the primitive and reaching the transmitter.
+	onPath := make([]dataflow.BitSet, len(spans))
+	for i, sp := range spans {
+		fwd, bwd := w.reach(sp.from, g.Succs), w.reach(sp.to, g.Preds)
+		for k := range fwd {
+			fwd[k] &= bwd[k]
+		}
+		onPath[i] = fwd
+	}
+
 	// Candidate cut instructions: instructions of nodes lying on some
 	// primitive→transmit path (transmitter included — a fence immediately
 	// before it always works; primitive excluded).
-	candSet := map[*ir.Instr]bool{}
-	for _, sp := range spans {
-		for _, n := range g.Nodes {
-			if n.Instr == nil || n.Kind == acfg.NEntry || n.Kind == acfg.NExit {
-				continue
-			}
-			if n.ID == sp.from {
-				continue
-			}
-			onPath := n.ID == sp.to ||
-				(reaches(g, sp.from, n.ID) && reaches(g, n.ID, sp.to))
-			if onPath && placeable(n.Instr) {
-				candSet[n.Instr] = true
-			}
-		}
-	}
-	cands := make([]*ir.Instr, 0, len(candSet))
-	for in := range candSet {
-		cands = append(cands, in)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].String() < cands[j].String() })
-
-	// kills[i][j]: fencing before cands[j] cuts spans[i] — every
-	// primitive→transmit path crosses a node carrying that instruction.
-	solver := smt.NewSolver()
-	vars := make([]*smt.Expr, len(cands))
-	for j := range cands {
-		vars[j] = solver.Var(fmt.Sprintf("fence!%d", j))
-	}
+	nodesOf := map[*ir.Instr][]int{}
 	for i, sp := range spans {
-		var killers []*smt.Expr
-		for j, in := range cands {
-			if cutsAllPaths(g, sp.from, sp.to, in) {
-				killers = append(killers, vars[j])
+		for _, n := range g.Nodes {
+			if n.Instr == nil || n.Kind == acfg.NEntry || n.Kind == acfg.NExit || n.ID == sp.from {
+				continue
+			}
+			if (n.ID == sp.to || onPath[i].Has(n.ID)) && placeable(n.Instr) {
+				nodesOf[n.Instr] = nil
 			}
 		}
-		if len(killers) == 0 {
+	}
+	// Order candidates by rendering, then by first node, so the hitting
+	// set (and the model the solver picks) is deterministic.
+	cands := make([]*ir.Instr, 0, len(nodesOf))
+	for _, n := range g.Nodes {
+		if ns, ok := nodesOf[n.Instr]; ok {
+			if len(ns) == 0 {
+				cands = append(cands, n.Instr)
+			}
+			nodesOf[n.Instr] = append(ns, n.ID)
+		}
+	}
+	keys := make(map[*ir.Instr]string, len(cands))
+	for _, in := range cands {
+		keys[in] = in.String()
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return keys[cands[i]] < keys[cands[j]] })
+
+	// kills[i]: the candidates j such that fencing before cands[j] cuts
+	// spans[i] — every primitive→transmit path crosses a node carrying
+	// that instruction. Only such nodes lying on a path of the span can
+	// block one; with none there, the fence cuts the span only when no
+	// path exists at all.
+	cuts := func(sp span, path dataflow.BitSet, in *ir.Instr) bool {
+		if sp.from == sp.to {
+			return false
+		}
+		for _, n := range nodesOf[in] {
+			if path.Has(n) {
+				return w.cutsAllPaths(sp.from, sp.to, in)
+			}
+		}
+		return !path.Has(sp.from)
+	}
+	kills := make([][]int, len(spans))
+	for i, sp := range spans {
+		for j, in := range cands {
+			if cuts(sp, onPath[i], in) {
+				kills[i] = append(kills[i], j)
+			}
+		}
+		if len(kills[i]) == 0 {
 			return nil, fmt.Errorf("repair: finding %d has no cutting position", i)
 		}
-		solver.AssertClause(killers...)
 	}
 
 	// Minimize the fence count: find the smallest k with a model.
 	for k := 1; k <= len(cands); k++ {
-		s2 := smt.NewSolver()
-		v2 := make([]*smt.Expr, len(cands))
+		s := smt.NewSolver()
+		vars := make([]*smt.Expr, len(cands))
 		for j := range cands {
-			v2[j] = s2.Var(fmt.Sprintf("fence!%d", j))
+			vars[j] = s.Var(fmt.Sprintf("fence!%d", j))
 		}
-		for _, sp := range spans {
-			var killers []*smt.Expr
-			for j, in := range cands {
-				if cutsAllPaths(g, sp.from, sp.to, in) {
-					killers = append(killers, v2[j])
-				}
+		killers := make([]*smt.Expr, 0, len(cands))
+		for _, ks := range kills {
+			killers = killers[:0]
+			for _, j := range ks {
+				killers = append(killers, vars[j])
 			}
-			s2.AssertClause(killers...)
+			s.AssertClause(killers...)
 		}
-		s2.AtMostK(k, v2...)
-		if s2.Check() == sat.Sat {
+		s.AtMostK(k, vars...)
+		if s.Check() == sat.Sat {
 			var out []*ir.Instr
 			for j := range cands {
-				if s2.Value(v2[j]) {
+				if s.Value(vars[j]) {
 					out = append(out, cands[j])
 				}
 			}
@@ -212,53 +239,67 @@ func placeable(in *ir.Instr) bool {
 	return true
 }
 
-func reaches(g *acfg.Graph, from, to int) bool {
-	if from == to {
-		return true
-	}
-	seen := map[int]bool{from: true}
-	stack := []int{from}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Succs(n) {
-			if s == to {
-				return true
-			}
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
+// walker runs depth-first walks over one A-CFG with a visit stamp per
+// node instead of a per-walk seen set.
+type walker struct {
+	g     *acfg.Graph
+	seen  []uint32
+	cur   uint32
+	stack []int
+}
+
+func newWalker(g *acfg.Graph) *walker {
+	return &walker{g: g, seen: make([]uint32, g.Len())}
+}
+
+// start begins a new walk from n.
+func (w *walker) start(n int) {
+	w.cur++
+	w.seen[n] = w.cur
+	w.stack = append(w.stack[:0], n)
+}
+
+// reach returns the nodes reachable from n (n included) along next —
+// g.Succs for forward reach, g.Preds for backward.
+func (w *walker) reach(n int, next func(int) []int) dataflow.BitSet {
+	out := dataflow.NewBitSet(w.g.Len())
+	out.Set(n)
+	w.start(n)
+	for len(w.stack) > 0 {
+		x := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		for _, s := range next(x) {
+			if w.seen[s] != w.cur {
+				w.seen[s] = w.cur
+				out.Set(s)
+				w.stack = append(w.stack, s)
 			}
 		}
 	}
-	return false
+	return out
 }
 
 // cutsAllPaths reports whether every from→to path in the A-CFG crosses a
 // node whose instruction is in (so a fence before it blocks the window).
-func cutsAllPaths(g *acfg.Graph, from, to int, in *ir.Instr) bool {
+// A fence before the transmitter itself blocks it too.
+func (w *walker) cutsAllPaths(from, to int, in *ir.Instr) bool {
 	if from == to {
 		return false
 	}
-	seen := map[int]bool{from: true}
-	stack := []int{from}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Succs(n) {
-			if g.Nodes[s].Instr == in {
-				if s == to {
-					// A fence before the transmitter itself blocks it.
-					continue
-				}
+	w.start(from)
+	for len(w.stack) > 0 {
+		n := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		for _, s := range w.g.Succs(n) {
+			if w.g.Nodes[s].Instr == in {
 				continue // path blocked here
 			}
 			if s == to {
 				return false
 			}
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
+			if w.seen[s] != w.cur {
+				w.seen[s] = w.cur
+				w.stack = append(w.stack, s)
 			}
 		}
 	}

@@ -8,8 +8,10 @@
 package smt
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -126,6 +128,7 @@ type Solver struct {
 	tseitinSaved int64 // gates answered from defs without new aux vars
 	// assumption literal bookkeeping for FailedAssumptions
 	lastAssumed map[sat.Lit]*Expr
+	clauseBuf   []sat.Lit // AssertClause scratch
 	// memo caches Check verdicts keyed by the canonicalized assumption
 	// literal set; it is dropped whenever a user-level constraint is
 	// asserted (new constraints can flip Sat verdicts). Tseitin
@@ -219,6 +222,13 @@ func (s *Solver) Var(name string) *Expr {
 	return e
 }
 
+// NewVar allocates a new variable named name without registering the name
+// for lookup by Var — for encoders that keep their own handles to the
+// variables they create and never look one up by name.
+func (s *Solver) NewVar(name string) *Expr {
+	return &Expr{op: opVar, name: name, v: s.sat.NewVar()}
+}
+
 // FreshVar allocates an anonymous variable with a unique generated name.
 func (s *Solver) FreshVar(prefix string) *Expr {
 	return s.Var(fmt.Sprintf("%s!%d", prefix, s.sat.NumVars()))
@@ -297,13 +307,21 @@ func (s *Solver) lit(e *Expr) sat.Lit {
 	if e == nil {
 		return s.trueLit
 	}
+	// Literals of variables and their negations are read off directly:
+	// memoizing them would cost more than recomputing.
+	switch e.op {
+	case opVar:
+		return sat.Lit(e.v)
+	case opNot:
+		if k := e.kids[0]; k.op == opVar {
+			return sat.Lit(k.v).Neg()
+		}
+	}
 	if l, ok := s.lits[e]; ok {
 		return l
 	}
 	var l sat.Lit
 	switch e.op {
-	case opVar:
-		l = sat.Lit(e.v)
 	case opTrue:
 		l = s.trueLit
 	case opFalse:
@@ -329,12 +347,11 @@ func (s *Solver) lit(e *Expr) sat.Lit {
 // re-emitting its Tseitin definition.
 func (s *Solver) gate(o op, kids []sat.Lit) sat.Lit {
 	s.gates++
-	sort.Slice(kids, func(i, j int) bool {
-		vi, vj := kids[i].Var(), kids[j].Var()
-		if vi != vj {
-			return vi < vj
+	slices.SortFunc(kids, func(a, b sat.Lit) int {
+		if c := cmp.Compare(a.Var(), b.Var()); c != 0 {
+			return c
 		}
-		return kids[i] < kids[j]
+		return cmp.Compare(a, b)
 	})
 	tru, fls := s.trueLit, s.trueLit.Neg()
 	out := kids[:0]
@@ -435,10 +452,13 @@ func (s *Solver) Assert(e *Expr) {
 // than Assert(Or(...)) — no auxiliary variable).
 func (s *Solver) AssertClause(es ...*Expr) {
 	s.invalidate()
-	lits := make([]sat.Lit, len(es))
-	for i, e := range es {
-		lits[i] = s.lit(e)
+	// addClause copies what it keeps, so one scratch slice serves every
+	// call.
+	lits := s.clauseBuf[:0]
+	for _, e := range es {
+		lits = append(lits, s.lit(e))
 	}
+	s.clauseBuf = lits
 	s.addClause(lits...)
 }
 
@@ -702,8 +722,8 @@ func (s *Solver) ModelCacheHits() int64 { return s.modelHits }
 
 // canonKey renders a canonical byte key for an assumption literal set.
 func canonKey(lits []sat.Lit) string {
-	sorted := append([]sat.Lit(nil), lits...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(lits)
+	slices.Sort(sorted)
 	var b strings.Builder
 	b.Grow(len(sorted) * 9)
 	var prev sat.Lit
