@@ -40,9 +40,12 @@ check: vet fmt lint race-core
 
 # audit-presolve replays every statically discharged candidate through the
 # full SAT encoding and fails on any disagreement — the soundness gate for
-# the pre-solver's refutation and witness rules (see DESIGN.md).
+# the pre-solver's refutation and witness rules (see DESIGN.md). It covers
+# the litmus corpus and the seven crypto libraries, where the arch-witness
+# rule fires thousands of times.
 audit-presolve: build
 	$(GO) run ./cmd/clou -litmus all -audit-presolve
+	$(GO) test ./internal/harness -run '^TestCryptoCorpusAuditClean$$' -count=1 -v
 
 # fuzz gives each native fuzz target a short budget — enough to shake out
 # shallow regressions in CI. Crashing inputs are written to testdata/fuzz/

@@ -90,9 +90,7 @@ func BenchmarkDetectDonna(b *testing.B) {
 		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := eng.mk()
-				cfg.ShardWorkers = 8
-				if _, err := AnalyzeFunc(m, "crypto_scalarmult", cfg); err != nil {
+				if _, err := AnalyzeFunc(m, "crypto_scalarmult", eng.mk()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,7 +22,6 @@ import (
 	"lcm/internal/sat"
 	"lcm/internal/smt"
 	"lcm/internal/taint"
-	"lcm/internal/workpool"
 )
 
 // Engine selects the speculation primitive searched for (§5.3).
@@ -132,14 +131,13 @@ type Config struct {
 	// and flagged on the certificate. Findings under audit are exactly the
 	// no-presolve findings.
 	AuditPresolve bool
-	// ShardWorkers bounds the intra-function workers that precompute the
-	// per-candidate value-flow and distance summaries (the pure, dominant
-	// cost of the candidate loop) before the serial decision replay; 0 or
-	// 1 keeps the whole search single-threaded. Findings, counters, and
-	// certificates are byte-identical at any width: the parallel stage
-	// only warms memo caches with pure results, and every decision —
-	// solver queries, budgets, fault probes, certificate dedup — replays
-	// in input order on one goroutine.
+	// ShardWorkers is ignored: the candidate search is single-threaded
+	// per function, and parallelism comes from analyzing functions
+	// concurrently (harness.Options.Parallelism).
+	//
+	// Deprecated: intra-function sharding was removed once the candidate
+	// loop's kernels stopped being graph-sized per candidate; the field
+	// stays only until its last setter, the benchmark program, drops it.
 	ShardWorkers int
 	// Cache, when non-nil, memoizes the engine-independent front end
 	// (A-CFG, alias, taint, reachability, value flow) per (module,
@@ -488,20 +486,25 @@ func AnalyzeFuncCtx(ctx context.Context, m *ir.Module, fn string, cfg Config) (*
 }
 
 type detector struct {
-	ctx        context.Context
-	cfg        Config
-	key        string // fault-injection identity
-	g          *acfg.Graph
-	al         *alias.Analysis
-	ta         *taint.Analysis
-	a          *aeg.AEG
-	flow       *flowGraph
-	res        *Result
-	cfgReach   func(from, to int) bool
-	flows      map[int]reachInfo // detector-local view of flow.memo (no mutex)
-	condCache  map[int][]int     // condFeeders memo, per branch
-	dists      map[int]*nearSets // bounded-distance bitsets, per source
-	fenceOK    map[int][]bool    // dense fence-free reachability, per source
+	ctx      context.Context
+	cfg      Config
+	key      string // fault-injection identity
+	g        *acfg.Graph
+	al       *alias.Analysis
+	ta       *taint.Analysis
+	a        *aeg.AEG
+	flow     *flowGraph
+	res      *Result
+	cfgReach func(from, to int) bool
+	// Per-node memos, indexed by node ID and allocated on first use: the
+	// candidate loops consult them per candidate, so a slice probe stands
+	// in for a map lookup. A nil entry is not computed yet.
+	flows      []reachInfo       // detector-local view of flow.memo (no mutex)
+	dists      []*nearSets       // bounded-distance bitsets, per source
+	fenceOK    []dataflow.BitSet // fence-free reachability, per source
+	lfences    int8              // 0 unknown, 1 the graph has an lfence, -1 none
+	condFeed   [][]int           // condFeeders, per branch; nil before the sweep
+	queue      [2][]int32        // bfsDist/fenceReach frontier scratch
 	feedsCache map[int][]indexEdge
 	allLoads   []*acfg.Node
 	pruner     Pruner
@@ -651,17 +654,17 @@ func cfgReachability(g *acfg.Graph) func(from, to int) bool {
 
 // flowFrom returns the value-flow reach info of one source node. The
 // authoritative memo lives on the shared flowGraph — warm across both
-// engines of a cached frontend and across the prewarm shards — and the
+// engines of a cached frontend, which may run concurrently — and the
 // detector keeps a mutex-free local view for the hot serial loops.
 func (d *detector) flowFrom(n int) reachInfo {
-	if r, ok := d.flows[n]; ok {
-		return r
-	}
 	if d.flows == nil {
-		d.flows = map[int]reachInfo{}
+		d.flows = make([]reachInfo, d.g.Len())
 	}
-	r := d.flow.from(n)
-	d.flows[n] = r
+	r := d.flows[n]
+	if r.reached == nil {
+		r = d.flow.from(n)
+		d.flows[n] = r
+	}
 	return r
 }
 
@@ -871,14 +874,11 @@ func (d *detector) fireProbe(probe string) error {
 }
 
 func (d *detector) run() {
-	d.prewarm()
 	switch d.cfg.Engine {
 	case PHT:
 		d.runPHT()
-	case STL:
-		d.runSTL()
-	case PSF:
-		d.runPSF()
+	case STL, PSF:
+		d.runBypass()
 	case IMP:
 		d.runIMP()
 	case SS:
@@ -899,93 +899,6 @@ func (d *detector) run() {
 		}
 		return a.Transmit < b.Transmit
 	})
-}
-
-// prewarm is the intra-function sharding stage: with ShardWorkers > 1 it
-// computes, in parallel, exactly the pure per-candidate summaries the
-// serial candidate loops would compute lazily — value-flow reach per load,
-// and for STL the per-source BFS distance and fence-free-reach maps — and
-// installs them in the detector's memo caches. The loops then replay
-// serially and find every cache warm, so findings, counters, budget cuts,
-// and certificates are identical to the single-threaded run byte for byte:
-// no solver query, probe, or decision happens off the replay goroutine.
-// Prewarm fires no fault-injection probes (workpool.Prewarm's contract) —
-// an injected fault must hit the replay's deterministic probe sequence,
-// not a racy warm-up.
-func (d *detector) prewarm() {
-	w := d.cfg.ShardWorkers
-	if w <= 1 || d.ctx.Err() != nil {
-		return
-	}
-	loads := d.loads()
-	workpool.Prewarm(w, len(loads), func(i int) {
-		if d.ctx.Err() != nil {
-			return
-		}
-		d.flow.from(loads[i].ID)
-	})
-	// Per-engine distance/fence summaries. STL and PSF pair enumeration
-	// asks withinLSQ/withinWsize from every store and load and
-	// fenceBetween from every store; IMP asks fenceBetween from every
-	// index load; SS asks fenceBetween from every store. Warm those into
-	// index-addressed slots and merge serially (the memo maps themselves
-	// are not concurrency-safe).
-	var distSrcs, fenceSrcs []int
-	switch d.cfg.Engine {
-	case STL, PSF:
-		for _, n := range d.g.Nodes {
-			if n.IsStore() || n.IsLoad() {
-				distSrcs = append(distSrcs, n.ID)
-			}
-			if n.IsStore() {
-				fenceSrcs = append(fenceSrcs, n.ID)
-			}
-		}
-	case IMP:
-		for _, n := range d.g.Nodes {
-			if n.IsLoad() {
-				fenceSrcs = append(fenceSrcs, n.ID)
-			}
-		}
-	case SS:
-		for _, n := range d.g.Nodes {
-			if n.IsStore() {
-				fenceSrcs = append(fenceSrcs, n.ID)
-			}
-		}
-	default:
-		return
-	}
-	dists := make([]*nearSets, len(distSrcs))
-	workpool.Prewarm(w, len(distSrcs), func(i int) {
-		if d.ctx.Err() != nil {
-			return
-		}
-		dists[i] = d.bfsDist(distSrcs[i])
-	})
-	if d.dists == nil {
-		d.dists = map[int]*nearSets{}
-	}
-	for i, src := range distSrcs {
-		if dists[i] != nil {
-			d.dists[src] = dists[i]
-		}
-	}
-	fences := make([][]bool, len(fenceSrcs))
-	workpool.Prewarm(w, len(fenceSrcs), func(i int) {
-		if d.ctx.Err() != nil {
-			return
-		}
-		fences[i] = d.fenceReach(fenceSrcs[i])
-	})
-	if d.fenceOK == nil {
-		d.fenceOK = map[int][]bool{}
-	}
-	for i, s := range fenceSrcs {
-		if fences[i] != nil {
-			d.fenceOK[s] = fences[i]
-		}
-	}
 }
 
 // steering precomputes, per access load, the memory nodes whose address it
@@ -1195,30 +1108,52 @@ func (d *detector) runPHT() {
 }
 
 // condFeeders returns the loads whose values feed branch c's condition,
-// memoized per branch: the UCT pattern asks for the same inner branch
-// under every outer branch, and the scan is O(loads) each time.
+// in loads order. The first call answers every branch at once with one
+// inverted sweep, the trick computeSteering plays for addresses: each
+// load's reach set is ANDed once with the mask of all branches' condition
+// defs, so the loads are walked once in total rather than once per
+// branch (the UCT pattern asks about every inner branch).
 func (d *detector) condFeeders(c int, loads []*acfg.Node) []int {
-	if accs, ok := d.condCache[c]; ok {
-		return accs
+	if d.condFeed == nil {
+		d.condFeed = d.sweepCondFeeders(loads)
 	}
-	if d.condCache == nil {
-		d.condCache = map[int][]int{}
+	return d.condFeed[c]
+}
+
+// sweepCondFeeders computes condFeeders for every branch of the S-AEG.
+func (d *detector) sweepCondFeeders(loads []*acfg.Node) [][]int {
+	n := d.g.Len()
+	out := make([][]int, n)
+	mask := dataflow.NewBitSet(n)
+	byDef := make([][]int32, n)
+	for _, b := range d.a.Branches() {
+		if cn := d.g.Nodes[b]; len(cn.ArgDefs) > 0 {
+			for _, def := range cn.ArgDefs[0] {
+				mask.Set(def)
+				byDef[def] = append(byDef[def], int32(b))
+			}
+		}
 	}
-	cn := d.g.Nodes[c]
-	var accs []int
-	if len(cn.ArgDefs) > 0 {
-		for _, acc := range loads {
-			r := d.flowFrom(acc.ID)
-			for _, condDef := range cn.ArgDefs[0] {
-				if ok, _ := r.reaches(condDef); ok {
-					accs = append(accs, acc.ID)
-					break
+	// last[b] is 1 + the position of the load last appended to b's list,
+	// so a load reaching several of b's defs is listed once.
+	last := make([]int32, n)
+	for pos, acc := range loads {
+		r := d.flowFrom(acc.ID)
+		for w, word := range r.reached {
+			word &= mask[w]
+			for word != 0 {
+				def := w*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				for _, b := range byDef[def] {
+					if last[b] != int32(pos+1) {
+						last[b] = int32(pos + 1)
+						out[b] = append(out[b], acc.ID)
+					}
 				}
 			}
 		}
 	}
-	d.condCache[c] = accs
-	return accs
+	return out
 }
 
 func (d *detector) controlPatterns(st steering, mems, loads []*acfg.Node, branches []int, seen map[candKey]bool) {
@@ -1320,111 +1255,139 @@ func (d *detector) controlPatterns(st steering, mems, loads []*acfg.Node, branch
 	}
 }
 
-// runSTL searches for transmitters steered by store-to-load forwarding
-// past an unresolved store (§5.3): a load l bypasses a may-aliasing
-// po-earlier store s within the LSQ bound, returning stale
-// attacker-controlled data that steers a later transmitter.
-func (d *detector) runSTL() {
-	mems := d.memoryNodes()
-	loads := d.loads()
-	seen := map[candKey]bool{}
+// bypassPair is one (store, load) candidate of the store-buffer engines.
+type bypassPair struct{ s, l int }
 
-	var stores []*acfg.Node
-	for _, n := range d.g.Nodes {
-		if n.IsStore() {
-			stores = append(stores, n)
+// bypassPairs enumerates the (store, load) candidates of the STL and PSF
+// engines in (store, load) ID order, charging Candidates and Pruned. It
+// walks only the set bits of each store's LSQ window — the nodes within
+// Opts.LSQ hops, so s reaches every one of them — which come out in the
+// order a stores × loads scan visits them. Per engine:
+//
+//   - STL keeps may-aliasing pairs and prunes provably disjoint ones;
+//   - PSF drops exact same-address forwards (architecturally correct)
+//     and prunes nothing: misprediction is what makes disjoint pairs
+//     dangerous.
+//
+// ok is false when the budget ran out mid-walk.
+func (d *detector) bypassPairs() (pairs []bypassPair, ok bool) {
+	for _, s := range d.g.Nodes {
+		if !s.IsStore() {
+			continue
 		}
-	}
-
-	// Bypassable (store, load) pairs.
-	type pair struct{ s, l int }
-	var pairs []pair
-	for _, s := range stores {
 		if d.outOfBudget() {
-			return
+			return pairs, false
 		}
-		for _, l := range loads {
-			if !d.cfgReach(s.ID, l.ID) {
-				continue
+		for w, word := range d.nearFrom(s.ID).lsq {
+			for word != 0 {
+				l := d.g.Nodes[w*64+bits.TrailingZeros64(word)]
+				word &= word - 1
+				if !l.IsLoad() {
+					continue
+				}
+				if d.cfg.Engine == PSF {
+					if mustAliasExact(s, l) {
+						continue
+					}
+					d.res.Candidates++
+				} else {
+					if !d.al.MayAliasTransient(s, l) {
+						continue
+					}
+					d.res.Candidates++
+					if d.pruner != nil && s.Instr != nil && l.Instr != nil &&
+						d.pruner.DisjointPair(s.Instr, l.Instr) {
+						d.res.Pruned++
+						d.dischargeCert(func() (*presolve.Certificate, bool) { return d.ps.CertDisjoint(s, l) })
+						continue
+					}
+				}
+				pairs = append(pairs, bypassPair{s.ID, l.ID})
 			}
-			if !d.al.MayAliasTransient(s, l) {
-				continue
-			}
-			if !d.withinLSQ(s.ID, l.ID) {
-				continue
-			}
-			d.res.Candidates++
-			if d.pruner != nil && s.Instr != nil && l.Instr != nil &&
-				d.pruner.DisjointPair(s.Instr, l.Instr) {
-				d.res.Pruned++
-				d.dischargeCert(func() (*presolve.Certificate, bool) { return d.ps.CertDisjoint(s, l) })
-				continue
-			}
-			pairs = append(pairs, pair{s.ID, l.ID})
 		}
 	}
+	return pairs, true
+}
 
-	// One inverted value-flow sweep per distinct stale load replaces the
+// runBypass searches for transmitters steered through the store buffer:
+//
+//   - Clou-stl (§5.3): a load l bypasses a may-aliasing po-earlier store
+//     s within the LSQ bound, returning stale attacker-controlled data;
+//   - Clou-psf: l is wrongly forwarded the data of an in-flight store s
+//     that need not alias it (the alias predictor mispredicts).
+//
+// Either way l's value steers a later transmitter t inside l's window,
+// unless an lfence on every s→t path drains the buffer first.
+func (d *detector) runBypass() {
+	pairs, ok := d.bypassPairs()
+	if !ok {
+		return
+	}
+
+	// One inverted value-flow sweep per distinct load replaces the
 	// per-pair probe over every memory node: the steered lists come back
 	// in mems order, so per-pair iteration (and every downstream decision)
 	// is unchanged. flowsToAddr was the most selective filter in this
 	// loop; the surviving checks run only on its few hits.
-	var stale []*acfg.Node
-	staleSeen := map[int]bool{}
+	var srcs []*acfg.Node
+	listed := dataflow.NewBitSet(d.g.Len())
 	for _, p := range pairs {
-		if !staleSeen[p.l] {
-			staleSeen[p.l] = true
-			stale = append(stale, d.g.Nodes[p.l])
+		if !listed.Has(p.l) {
+			listed.Set(p.l)
+			srcs = append(srcs, d.g.Nodes[p.l])
 		}
 	}
-	st := d.computeSteering(stale, mems)
+	st := d.computeSteering(srcs, d.memoryNodes())
 
+	kind := candSTL
+	if d.cfg.Engine == PSF {
+		kind = candPSF
+	}
 	// Scratch for queryArch's node sets: the pre-solver copies anything it
-	// retains, so a fresh slice literal per probe is pure churn.
+	// retains, so a fresh slice literal per probe is pure churn. Each
+	// (s, l, t) key comes up once — pairs are distinct and steered lists
+	// duplicate-free — so no seen-set is needed.
 	var qn [3]int
 	for _, p := range pairs {
 		if d.outOfBudget() {
 			return
 		}
-		l := d.g.Nodes[p.l]
 		near := d.nearFrom(p.l)
 		for _, tID := range st.steers[p.l] {
-			if !d.cfgReach(p.l, tID) {
-				continue
-			}
-			if !near.win.Has(tID) {
-				continue
-			}
-			t := d.g.Nodes[tID]
-			if d.fenceBetween(p.s, tID) {
+			if !d.cfgReach(p.l, tID) || !near.win.Has(tID) || d.fenceBetween(p.s, tID) {
 				continue
 			}
 			class := core.UDT
-			if d.cfg.RequireTaint && !staleControlled(l) {
+			if d.cfg.RequireTaint && !d.bypassControlled(p) {
 				class = core.DT
 			}
 			if !d.wantClass(class) {
 				continue
 			}
-			key := candKey{kind: candSTL, a: p.s, b: p.l, c: t.ID}
-			if seen[key] {
-				continue
-			}
-			qn[0], qn[1], qn[2] = p.s, p.l, t.ID
-			if d.queryArch(key, qn[:3], func() []*smt.Expr {
-				return []*smt.Expr{d.a.Arch(p.s), d.a.Arch(p.l), d.a.Exec(t.ID)}
+			qn[0], qn[1], qn[2] = p.s, p.l, tID
+			if d.queryArch(candKey{kind: kind, a: p.s, b: p.l, c: tID}, qn[:3], func() []*smt.Expr {
+				return []*smt.Expr{d.a.Arch(p.s), d.a.Arch(p.l), d.a.Exec(tID)}
 			}) {
-				seen[key] = true
 				d.res.Findings = append(d.res.Findings, Finding{
 					Fn: d.res.Fn, Class: class,
-					Transmit: t.ID, Access: p.l, Index: -1,
+					Transmit: tID, Access: p.l, Index: -1,
 					Branch: -1, Store: p.s, Load: p.l,
 					TransientTransmit: true, TransientAccess: true,
-					Line: line(t),
+					Line: line(d.g.Nodes[tID]),
 				})
 			}
 		}
 	}
+}
+
+// bypassControlled reports whether the value the load returns may be
+// attacker-controlled: the stale memory value under STL, the forwarded
+// store data under PSF.
+func (d *detector) bypassControlled(p bypassPair) bool {
+	if d.cfg.Engine == PSF {
+		return forwardControlled(d.g.Nodes[p.s])
+	}
+	return staleControlled(d.g.Nodes[p.l])
 }
 
 // staleControlled reports whether the stale value a bypassing load returns
@@ -1444,42 +1407,38 @@ type nearSets struct {
 	win dataflow.BitSet // nodes within Opts.Wsize hops of the source
 }
 
-// bfsDist computes one source's nearSets by BFS out to the larger bound;
-// farther nodes stay unset, which callers treat like unreachable ones.
-// Pure: reads only the immutable graph and options, so prewarm shards may
-// run it concurrently.
+// bfsDist computes one source's nearSets by a level-synchronous BFS out
+// to the larger bound. The larger bound's set doubles as the visit mark
+// (every node the search reaches belongs to it), and a node first reached
+// at a level within the smaller bound joins the smaller set too. Farther
+// nodes stay unset, which callers treat like unreachable ones.
 func (d *detector) bfsDist(from int) *nearSets {
-	lsqB, winB := int32(d.a.Opts.LSQ), int32(d.a.Opts.Wsize)
-	bound := lsqB
-	if winB > bound {
-		bound = winB
-	}
+	lsqB, winB := d.a.Opts.LSQ, d.a.Opts.Wsize
 	ns := &nearSets{lsq: dataflow.NewBitSet(d.g.Len()), win: dataflow.NewBitSet(d.g.Len())}
-	mark := func(n int, dn int32) {
-		if dn <= lsqB {
-			ns.lsq.Set(n)
-		}
-		if dn <= winB {
-			ns.win.Set(n)
-		}
+	seen, inner, innerB := ns.win, ns.lsq, lsqB
+	if lsqB > winB {
+		seen, inner, innerB = ns.lsq, ns.win, winB
 	}
-	mark(from, 0)
-	dist := map[int]int32{from: 0}
-	queue := []int{from}
-	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		dn := dist[n]
-		if dn == bound {
-			continue
-		}
-		for _, s := range d.g.Succs(n) {
-			if _, seen := dist[s]; !seen {
-				dist[s] = dn + 1
-				mark(s, dn+1)
-				queue = append(queue, s)
+	seen.Set(from)
+	inner.Set(from)
+	cur, next := append(d.queue[0][:0], int32(from)), d.queue[1][:0]
+	for level := 1; level <= max(lsqB, winB) && len(cur) > 0; level++ {
+		next = next[:0]
+		for _, n := range cur {
+			for _, s := range d.g.Succs(int(n)) {
+				if seen.Has(s) {
+					continue
+				}
+				seen.Set(s)
+				if level <= innerB {
+					inner.Set(s)
+				}
+				next = append(next, int32(s))
 			}
 		}
+		cur, next = next, cur
 	}
+	d.queue[0], d.queue[1] = cur, next
 	return ns
 }
 
@@ -1487,61 +1446,65 @@ func (d *detector) bfsDist(from int) *nearSets {
 // sets.
 func (d *detector) nearFrom(from int) *nearSets {
 	if d.dists == nil {
-		d.dists = map[int]*nearSets{}
+		d.dists = make([]*nearSets, d.g.Len())
 	}
-	ns, ok := d.dists[from]
-	if !ok {
+	ns := d.dists[from]
+	if ns == nil {
 		ns = d.bfsDist(from)
 		d.dists[from] = ns
 	}
 	return ns
 }
 
-// withinLSQ reports a path from→to of length ≤ Opts.LSQ.
-func (d *detector) withinLSQ(from, to int) bool {
-	return from == to || d.nearFrom(from).lsq.Has(to)
-}
+// isLfence reports whether n is a speculation barrier (an lfence).
+func isLfence(n *acfg.Node) bool { return n.IsFence() && n.Instr.Sub == "lfence" }
 
-// withinWsize reports a path from→to of length ≤ Opts.Wsize.
-func (d *detector) withinWsize(from, to int) bool {
-	return from == to || d.nearFrom(from).win.Has(to)
-}
-
-// fenceReach computes the dense fence-free reachability vector from one
-// source. Pure: reads only the immutable graph.
-func (d *detector) fenceReach(a int) []bool {
-	reach := make([]bool, d.g.Len())
-	reach[a] = true
-	queue := []int{a}
+// fenceReach computes the fence-free reachability set from one source:
+// the nodes some path from a reaches without entering an lfence.
+func (d *detector) fenceReach(a int) dataflow.BitSet {
+	reach := dataflow.NewBitSet(d.g.Len())
+	reach.Set(a)
+	queue := append(d.queue[0][:0], int32(a))
 	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		for _, s := range d.g.Succs(n) {
-			if reach[s] {
+		for _, s := range d.g.Succs(int(queue[head])) {
+			if reach.Has(s) {
 				continue
 			}
-			sn := d.g.Nodes[s]
-			if sn.IsFence() && sn.Instr.Sub == "lfence" {
+			if isLfence(d.g.Nodes[s]) {
 				continue
 			}
-			reach[s] = true
-			queue = append(queue, s)
+			reach.Set(s)
+			queue = append(queue, int32(s))
 		}
 	}
+	d.queue[0] = queue
 	return reach
 }
 
 // fenceBetween reports whether every path from a to b crosses an lfence.
-// Fence-free reachability vectors are cached per source.
+// In a graph without lfences that is plain unreachability, which the
+// shared closure answers in O(1) — the common case, the whole crypto
+// corpus among it. Otherwise fence-free reachability sets are cached per
+// source.
 func (d *detector) fenceBetween(a, b int) bool {
-	if d.fenceOK == nil {
-		d.fenceOK = map[int][]bool{}
+	if d.lfences == 0 {
+		d.lfences = -1
+		if slices.ContainsFunc(d.g.Nodes, isLfence) {
+			d.lfences = 1
+		}
 	}
-	reach, ok := d.fenceOK[a]
-	if !ok {
+	if d.lfences < 0 {
+		return a != b && !d.cfgReach(a, b)
+	}
+	if d.fenceOK == nil {
+		d.fenceOK = make([]dataflow.BitSet, d.g.Len())
+	}
+	reach := d.fenceOK[a]
+	if reach == nil {
 		reach = d.fenceReach(a)
 		d.fenceOK[a] = reach
 	}
-	return !reach[b]
+	return !reach.Has(b)
 }
 
 func line(n *acfg.Node) int {

@@ -1,0 +1,457 @@
+package detect
+
+// Reference-equivalence tests for the candidate-loop kernels. Each old
+// construction is kept here, verbatim in behaviour, as the reference the
+// shipped kernel must match on every litmus graph and every crypto-corpus
+// graph:
+//
+//   - refBfsDist, the map-distance BFS behind nearSets;
+//   - refBypassPairs, the stores × loads scan of the STL and PSF engines;
+//   - refCondFeeders, the per-branch scan of every load's reach;
+//   - refFenceReach, the per-source fence-free BFS over a []bool;
+//   - refArch, presolve's arch witness with one BFS per segment
+//     from entry (graph-sized on-path table and a take map per call).
+
+import (
+	"context"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"lcm/internal/acfg"
+	"lcm/internal/aeg"
+	"lcm/internal/cryptolib"
+	"lcm/internal/dataflow"
+	"lcm/internal/ir"
+	"lcm/internal/litmus"
+	"lcm/internal/presolve"
+)
+
+// refSubject is one analyzed function of the equivalence corpus.
+type refSubject struct {
+	name string
+	m    *ir.Module
+	fn   string
+}
+
+// refSubjects returns every litmus function and every public crypto
+// function, compiled.
+func refSubjects(t *testing.T) []refSubject {
+	t.Helper()
+	var out []refSubject
+	for _, c := range litmus.All() {
+		out = append(out, refSubject{"litmus/" + c.Name, compile(t, c.Source), c.Fn})
+	}
+	for _, lib := range cryptolib.All() {
+		m := compile(t, lib.Source)
+		for _, fn := range lib.PublicFuncs {
+			out = append(out, refSubject{lib.Name + "/" + fn, m, fn})
+		}
+	}
+	return out
+}
+
+// newTestDetector wires a detector the way AnalyzeFuncCtx does, uncached
+// and with the default pruner and the pre-solver on, without running it.
+func newTestDetector(t *testing.T, s refSubject, cfg Config) *detector {
+	t.Helper()
+	fe, err := buildFrontend(s.m, s.fn, cfg.ACFG)
+	if err != nil {
+		t.Fatalf("%s: %v", s.name, err)
+	}
+	a := aeg.Build(fe.g, fe.al, cfg.AEG)
+	pruner := dataflow.NewPruner(s.m)
+	return &detector{
+		ctx: context.Background(), cfg: cfg, key: s.fn,
+		g: fe.g, al: fe.al, ta: fe.ta, a: a,
+		res:      &Result{Fn: s.fn},
+		cfgReach: fe.cfgReach,
+		flow:     fe.flow,
+		pruner:   pruner,
+		ps:       presolve.NewAnalysis(fe.presolveFacts(pruner.Ranges()), a),
+	}
+}
+
+// refBfsDist is the map-based bounded BFS.
+func refBfsDist(g *acfg.Graph, from, lsqB, winB int) *nearSets {
+	bound := max(lsqB, winB)
+	ns := &nearSets{lsq: dataflow.NewBitSet(g.Len()), win: dataflow.NewBitSet(g.Len())}
+	mark := func(n, dn int) {
+		if dn <= lsqB {
+			ns.lsq.Set(n)
+		}
+		if dn <= winB {
+			ns.win.Set(n)
+		}
+	}
+	mark(from, 0)
+	dist := map[int]int{from: 0}
+	queue := []int{from}
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		dn := dist[n]
+		if dn == bound {
+			continue
+		}
+		for _, s := range g.Succs(n) {
+			if _, seen := dist[s]; !seen {
+				dist[s] = dn + 1
+				mark(s, dn+1)
+				queue = append(queue, s)
+			}
+		}
+	}
+	return ns
+}
+
+// TestNearSetsMatchBFS pins the level-synchronous bfsDist to the map BFS
+// from every store and load, under the default bounds, a tight pair, and
+// LSQ above Wsize (which swaps the set that marks visits).
+func TestNearSetsMatchBFS(t *testing.T) {
+	for _, s := range refSubjects(t) {
+		for _, opts := range []aeg.Options{{}, {LSQ: 3, Wsize: 5}, {LSQ: 7, Wsize: 2}} {
+			cfg := DefaultSTL()
+			cfg.AEG = opts
+			d := newTestDetector(t, s, cfg)
+			for _, n := range d.g.Nodes {
+				if !n.IsStore() && !n.IsLoad() {
+					continue
+				}
+				got := d.bfsDist(n.ID)
+				want := refBfsDist(d.g, n.ID, d.a.Opts.LSQ, d.a.Opts.Wsize)
+				if !got.lsq.Equal(want.lsq) || !got.win.Equal(want.win) {
+					t.Fatalf("%s %+v: near sets of node %d differ from the reference", s.name, opts, n.ID)
+				}
+			}
+		}
+	}
+}
+
+// refBypassPairs is the stores × loads scan of the STL (alias filter,
+// disjoint-pair prune) and PSF (exact-forward exclusion) engines,
+// returning the pairs and the Candidates/Pruned counts it charges.
+func refBypassPairs(d *detector) (pairs []bypassPair, candidates, pruned int) {
+	var stores, loads []*acfg.Node
+	for _, n := range d.g.Nodes {
+		if n.IsStore() {
+			stores = append(stores, n)
+		}
+		if n.IsLoad() {
+			loads = append(loads, n)
+		}
+	}
+	near := func(s int) dataflow.BitSet {
+		return refBfsDist(d.g, s, d.a.Opts.LSQ, d.a.Opts.Wsize).lsq
+	}
+	for _, s := range stores {
+		lsq := near(s.ID)
+		for _, l := range loads {
+			if !d.cfgReach(s.ID, l.ID) {
+				continue
+			}
+			if d.cfg.Engine == STL && !d.al.MayAliasTransient(s, l) {
+				continue
+			}
+			if !lsq.Has(l.ID) {
+				continue
+			}
+			if d.cfg.Engine == PSF && mustAliasExact(s, l) {
+				continue
+			}
+			candidates++
+			if d.cfg.Engine == STL && d.pruner != nil && s.Instr != nil && l.Instr != nil &&
+				d.pruner.DisjointPair(s.Instr, l.Instr) {
+				pruned++
+				continue
+			}
+			pairs = append(pairs, bypassPair{s.ID, l.ID})
+		}
+	}
+	return pairs, candidates, pruned
+}
+
+// TestBypassPairsMatchScan pins the LSQ-window pair walker to the scan:
+// same pairs in the same order, same Candidates and Pruned.
+func TestBypassPairsMatchScan(t *testing.T) {
+	for _, s := range refSubjects(t) {
+		for _, mk := range []func() Config{DefaultSTL, DefaultPSF} {
+			d := newTestDetector(t, s, mk())
+			got, ok := d.bypassPairs()
+			if !ok {
+				t.Fatalf("%s %s: pair walk ran out of budget", s.name, d.cfg.Engine)
+			}
+			want, cands, pruned := refBypassPairs(d)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %s: %d pairs, reference %d (or order differs)", s.name, d.cfg.Engine, len(got), len(want))
+			}
+			if d.res.Candidates != cands || d.res.Pruned != pruned {
+				t.Fatalf("%s %s: candidates/pruned %d/%d, reference %d/%d",
+					s.name, d.cfg.Engine, d.res.Candidates, d.res.Pruned, cands, pruned)
+			}
+		}
+	}
+}
+
+// refFenceReach is the fence-free BFS from a over a graph-sized []bool.
+func refFenceReach(g *acfg.Graph, a int) []bool {
+	reach := make([]bool, g.Len())
+	reach[a] = true
+	queue := []int{a}
+	for head := 0; head < len(queue); head++ {
+		for _, s := range g.Succs(queue[head]) {
+			sn := g.Nodes[s]
+			if reach[s] || (sn.IsFence() && sn.Instr.Sub == "lfence") {
+				continue
+			}
+			reach[s] = true
+			queue = append(queue, s)
+		}
+	}
+	return reach
+}
+
+// TestFenceBetweenMatchesBFS pins fenceBetween — the closure shortcut on
+// lfence-free graphs, the bitset BFS elsewhere — to the reference from
+// every store (the sources the bypass and silent-store engines ask
+// about) to every node.
+func TestFenceBetweenMatchesBFS(t *testing.T) {
+	fenced := 0
+	for _, s := range refSubjects(t) {
+		d := newTestDetector(t, s, DefaultSTL())
+		for _, src := range d.g.Nodes {
+			if !src.IsStore() {
+				continue
+			}
+			want := refFenceReach(d.g, src.ID)
+			for b := range want {
+				if got := d.fenceBetween(src.ID, b); got != !want[b] {
+					t.Fatalf("%s: fenceBetween(%d, %d) = %v, reference %v", s.name, src.ID, b, got, !want[b])
+				}
+			}
+		}
+		if d.lfences > 0 {
+			fenced++
+		}
+	}
+	if fenced == 0 {
+		t.Fatal("no subject has an lfence: the BFS path went untested")
+	}
+}
+
+// refCondFeeders is the per-branch scan: every load whose reach set hits
+// one of c's condition defs, in loads order.
+func refCondFeeders(d *detector, c int, loads []*acfg.Node) []int {
+	cn := d.g.Nodes[c]
+	var accs []int
+	if len(cn.ArgDefs) > 0 {
+		for _, acc := range loads {
+			r := d.flow.from(acc.ID)
+			for _, condDef := range cn.ArgDefs[0] {
+				if ok, _ := r.reaches(condDef); ok {
+					accs = append(accs, acc.ID)
+					break
+				}
+			}
+		}
+	}
+	return accs
+}
+
+// TestCondFeedersMatchScan pins the inverted condition sweep to the
+// per-branch scan on every branch the PHT engine asks about.
+func TestCondFeedersMatchScan(t *testing.T) {
+	for _, s := range refSubjects(t) {
+		d := newTestDetector(t, s, DefaultPHT())
+		loads := d.loads()
+		for _, b := range d.a.Branches() {
+			got, want := d.condFeeders(b, loads), refCondFeeders(d, b, loads)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: branch %d feeders %v, reference %v", s.name, b, got, want)
+			}
+		}
+	}
+}
+
+// refArch is the per-call arch witness: order the waypoints by
+// reachability, BFS every segment entry → w₀ → … → wₖ (pruned by
+// topological position), collect takes in a map, and replay from entry
+// over a graph-sized on-path table. Only the BFS visit marks persist
+// across calls, epoch-stamped, as they did in the old kernel.
+type refArch struct {
+	g      *acfg.Graph
+	reach  func(from, to int) bool
+	topo   []int // topological position per node
+	parent []int
+	stamp  []int
+	epoch  int
+}
+
+func newRefArch(g *acfg.Graph, reach func(from, to int) bool) *refArch {
+	r := &refArch{g: g, reach: reach, topo: make([]int, g.Len()), parent: make([]int, g.Len()), stamp: make([]int, g.Len())}
+	for i, id := range g.Topo() {
+		r.topo[id] = i
+	}
+	return r
+}
+
+func (r *refArch) bfsPath(src, dst int) []int {
+	g := r.g
+	r.epoch++
+	ep := r.epoch
+	r.stamp[src], r.parent[src] = ep, src
+	queue := []int{src}
+	for head := 0; head < len(queue) && r.stamp[dst] != ep; head++ {
+		n := queue[head]
+		for _, s := range g.Succs(n) {
+			if r.stamp[s] != ep && r.topo[s] <= r.topo[dst] {
+				r.stamp[s], r.parent[s] = ep, n
+				queue = append(queue, s)
+			}
+		}
+	}
+	if r.stamp[dst] != ep {
+		return nil
+	}
+	var path []int
+	for n := dst; ; n = r.parent[n] {
+		path = append(path, n)
+		if n == src {
+			break
+		}
+	}
+	slices.Reverse(path)
+	return path
+}
+
+func (r *refArch) witness(nodes []int) *presolve.Certificate {
+	g := r.g
+	reaches := func(m, n int) bool { return m == n || r.reach(m, n) }
+	ord := slices.Clone(nodes)
+	slices.Sort(ord)
+	ord = slices.Compact(ord)
+	for i := 1; i < len(ord); i++ {
+		for j := i; j > 0 && reaches(ord[j], ord[j-1]); j-- {
+			ord[j], ord[j-1] = ord[j-1], ord[j]
+		}
+	}
+	for i := 1; i < len(ord); i++ {
+		if ord[i-1] != ord[i] && !reaches(ord[i-1], ord[i]) {
+			return nil
+		}
+	}
+	takeFor := func(p, q int) (bool, bool) {
+		succ := g.Succs(p)
+		if len(succ) < 2 || succ[0] == succ[1] {
+			return false, false
+		}
+		return succ[0] == q, true
+	}
+	takes := map[int]bool{}
+	cur := g.Entry
+	for _, w := range ord {
+		if w == cur {
+			continue
+		}
+		seg := r.bfsPath(cur, w)
+		if seg == nil {
+			return nil
+		}
+		for i := 0; i+1 < len(seg); i++ {
+			if t, ok := takeFor(seg[i], seg[i+1]); ok {
+				if prev, dup := takes[seg[i]]; dup && prev != t {
+					return nil
+				}
+				takes[seg[i]] = t
+			}
+		}
+		cur = w
+	}
+	var path []int
+	onPath := make([]bool, g.Len())
+	for n := g.Entry; ; {
+		path = append(path, n)
+		onPath[n] = true
+		succ := g.Succs(n)
+		if len(succ) == 0 {
+			break
+		}
+		next := succ[0]
+		if g.Nodes[n].IsBranch() && len(succ) >= 2 && succ[0] != succ[1] {
+			t, ok := takes[n]
+			if !ok {
+				t = true
+				takes[n] = t
+			}
+			if !t {
+				next = succ[1]
+			}
+		}
+		if onPath[next] {
+			break
+		}
+		n = next
+	}
+	for _, w := range ord {
+		if !onPath[w] {
+			return nil
+		}
+	}
+	tl := make([]presolve.BranchTake, 0, len(takes))
+	for br, t := range takes {
+		tl = append(tl, presolve.BranchTake{Branch: br, Take: t})
+	}
+	slices.SortFunc(tl, func(x, y presolve.BranchTake) int { return x.Branch - y.Branch })
+	sorted := slices.Clone(nodes)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	keys := make([]string, len(sorted))
+	for i, n := range sorted {
+		keys[i] = strconv.Itoa(n)
+	}
+	return &presolve.Certificate{
+		Kind: presolve.KindArchWitness,
+		Fn:   g.Fn,
+		Key:  "arch|" + strings.Join(keys, ","),
+		Arch: &presolve.ArchFact{Nodes: sorted, Path: path, Takes: tl},
+	}
+}
+
+// TestArchWitnessMatchesReference checks WitnessArch against the per-call
+// reference on every (store, load, transmitter) triple the STL and PSF
+// engines query under their default configurations: each bypass pair with
+// each memory node its load steers inside the load's window and past no
+// draining fence.
+func TestArchWitnessMatchesReference(t *testing.T) {
+	for _, s := range refSubjects(t) {
+		for _, mk := range []func() Config{DefaultSTL, DefaultPSF} {
+			d := newTestDetector(t, s, mk())
+			pairs, _ := d.bypassPairs()
+			var srcs []*acfg.Node
+			listed := dataflow.NewBitSet(d.g.Len())
+			for _, p := range pairs {
+				if !listed.Has(p.l) {
+					listed.Set(p.l)
+					srcs = append(srcs, d.g.Nodes[p.l])
+				}
+			}
+			st := d.computeSteering(srcs, d.memoryNodes())
+			ref := newRefArch(d.g, d.cfgReach)
+			for _, p := range pairs {
+				for _, tID := range st.steers[p.l] {
+					if !d.cfgReach(p.l, tID) || !d.nearFrom(p.l).win.Has(tID) || d.fenceBetween(p.s, tID) {
+						continue
+					}
+					nodes := []int{p.s, p.l, tID}
+					got, ok := d.ps.WitnessArch(nodes)
+					want := ref.witness(nodes)
+					if ok != (want != nil) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s: arch witness of %v differs from the reference:\n got %+v\nwant %+v",
+							s.name, d.cfg.Engine, nodes, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -9,113 +9,12 @@ import (
 )
 
 // This file holds the taxonomy engines beyond branch prediction and
-// store-to-load bypass: speculative store forwarding via alias
-// prediction (Clou-psf), the indirect memory prefetcher (Clou-imp,
-// Fig. 5b), and silent stores (Clou-ss, Fig. 5a). They reuse the same
+// store-to-load bypass: the indirect memory prefetcher (Clou-imp,
+// Fig. 5b), silent stores (Clou-ss, Fig. 5a), and the PSF-specific
+// predicates of speculative store forwarding via alias prediction
+// (Clou-psf, which shares runBypass with Clou-stl). They reuse the same
 // S-AEG, dense value-flow, bounded-distance bitsets, and pre-solver
 // query paths as Clou-pht/stl; only the candidate shapes differ.
-
-// runPSF searches for transmitters steered by a mispredicted alias
-// forward: a load l with an in-flight po-earlier store s that does NOT
-// have to alias it may be predicted to, transiently returning s's data —
-// which then steers a later transmitter. The shape mirrors STL with two
-// inversions: must-alias pairs are excluded (the forward would be
-// architecturally correct), and provably disjoint pairs are NOT pruned
-// (misprediction is exactly what makes disjoint pairs dangerous).
-func (d *detector) runPSF() {
-	mems := d.memoryNodes()
-	loads := d.loads()
-	seen := map[candKey]bool{}
-
-	var stores []*acfg.Node
-	for _, n := range d.g.Nodes {
-		if n.IsStore() {
-			stores = append(stores, n)
-		}
-	}
-
-	// Forwardable (store, load) pairs: the load issues while the store is
-	// still in the buffer (LSQ bound) and the pair is not an exact
-	// same-address forward.
-	type pair struct{ s, l int }
-	var pairs []pair
-	for _, s := range stores {
-		if d.outOfBudget() {
-			return
-		}
-		for _, l := range loads {
-			if !d.cfgReach(s.ID, l.ID) {
-				continue
-			}
-			if !d.withinLSQ(s.ID, l.ID) {
-				continue
-			}
-			if mustAliasExact(s, l) {
-				continue
-			}
-			d.res.Candidates++
-			pairs = append(pairs, pair{s.ID, l.ID})
-		}
-	}
-
-	// One inverted value-flow sweep per distinct mispredicted load (see
-	// runSTL): steered lists come back in mems order.
-	var fwd []*acfg.Node
-	fwdSeen := map[int]bool{}
-	for _, p := range pairs {
-		if !fwdSeen[p.l] {
-			fwdSeen[p.l] = true
-			fwd = append(fwd, d.g.Nodes[p.l])
-		}
-	}
-	st := d.computeSteering(fwd, mems)
-
-	var qn [3]int
-	for _, p := range pairs {
-		if d.outOfBudget() {
-			return
-		}
-		near := d.nearFrom(p.l)
-		for _, tID := range st.steers[p.l] {
-			if !d.cfgReach(p.l, tID) {
-				continue
-			}
-			if !near.win.Has(tID) {
-				continue
-			}
-			t := d.g.Nodes[tID]
-			// An lfence drains the store buffer: nothing is left to
-			// forward when every s→t path crosses one.
-			if d.fenceBetween(p.s, tID) {
-				continue
-			}
-			class := core.UDT
-			if d.cfg.RequireTaint && !forwardControlled(d.g.Nodes[p.s]) {
-				class = core.DT
-			}
-			if !d.wantClass(class) {
-				continue
-			}
-			key := candKey{kind: candPSF, a: p.s, b: p.l, c: tID}
-			if seen[key] {
-				continue
-			}
-			qn[0], qn[1], qn[2] = p.s, p.l, tID
-			if d.queryArch(key, qn[:3], func() []*smt.Expr {
-				return []*smt.Expr{d.a.Arch(p.s), d.a.Arch(p.l), d.a.Exec(tID)}
-			}) {
-				seen[key] = true
-				d.res.Findings = append(d.res.Findings, Finding{
-					Fn: d.res.Fn, Class: class,
-					Transmit: tID, Access: p.l, Index: -1,
-					Branch: -1, Store: p.s, Load: p.l,
-					TransientTransmit: true, TransientAccess: true,
-					Line: line(t),
-				})
-			}
-		}
-	}
-}
 
 // mustAliasExact reports that the store and load provably touch the same
 // address with the same width, so forwarding is architecturally correct

@@ -165,7 +165,6 @@ func clouConfig(engine detect.Engine, opts Options, universalOnly bool, span *ob
 	cfg := detect.DefaultConfig(engine)
 	cfg.Timeout = opts.FuncTimeout
 	cfg.MaxQueries = opts.MaxQueries
-	cfg.ShardWorkers = opts.Parallelism
 	cfg.Cache = analysisCache
 	cfg.Span = span
 	cfg.Metrics = opts.Metrics

@@ -8,11 +8,10 @@ import (
 )
 
 // ForEach runs job(0), …, job(n-1) over at most workers goroutines. It
-// delegates to workpool.ForEach — the shared bounded pool that also backs
-// the detector's intra-function sharding — and keeps its determinism and
-// fault-tolerance contract: index-addressed results reassembled in input
-// order, recovered panics classified faults.ErrPanic, lowest-index error
-// returned.
+// delegates to workpool.ForEach, the shared bounded pool, and keeps its
+// determinism and fault-tolerance contract: index-addressed results
+// reassembled in input order, recovered panics classified
+// faults.ErrPanic, lowest-index error returned.
 func ForEach(workers, n int, job func(i int) error) error {
 	return workpool.ForEach(workers, n, job)
 }

@@ -119,3 +119,51 @@ func TestPresolveVerdictInvariantOnDonnaSTL(t *testing.T) {
 		}
 	}
 }
+
+// TestCryptoCorpusAuditClean replays every pre-solver discharge on the
+// seven crypto libraries through the SAT encoding: zero disagreements,
+// and findings identical to the plain run. The litmus replay
+// (clou -litmus all -audit-presolve) never exercises the arch-witness
+// rule at this scale — donna's STL sweep alone witnesses thousands of
+// queries. Both runs are budget-free (see bigBudget) and restricted to
+// UDT/UCT like the Table 2 sweep.
+func TestCryptoCorpusAuditClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analyzes every crypto library twice without budgets")
+	}
+	if raceDetectorEnabled {
+		t.Skip("single-threaded invariance check; race slowdown makes bigBudget bind")
+	}
+	audited, disagreed := 0, 0
+	for _, lib := range cryptolib.All() {
+		opts := bigBudget(false)
+		opts.CryptoUniversalOnly = true
+		plain, err := RunLibrary(lib, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.AuditPresolve = true
+		audit, err := RunLibrary(lib, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range audit {
+			p, a := plain[i], audit[i]
+			if p.TimedOut != 0 || a.TimedOut != 0 {
+				t.Skipf("%s/%s: budget hit despite bigBudget; comparison void", a.App, a.Tool)
+			}
+			if a.Disagreements != 0 {
+				t.Errorf("%s/%s: %d of %d audited discharges disagree with SAT", a.App, a.Tool, a.Disagreements, a.Audited)
+			}
+			if !reflect.DeepEqual(p.Findings, a.Findings) {
+				t.Errorf("%s/%s: findings differ between the plain and the audited run", a.App, a.Tool)
+			}
+			audited += a.Audited
+			disagreed += a.Disagreements
+		}
+	}
+	if audited == 0 {
+		t.Fatal("no discharge was audited")
+	}
+	t.Logf("audited=%d disagreements=%d", audited, disagreed)
+}

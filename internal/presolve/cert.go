@@ -2,6 +2,7 @@ package presolve
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -319,11 +320,7 @@ func appendSortedInts(buf []byte, ns []int) []byte {
 	if len(ns) <= len(tmp) {
 		s = tmp[:len(ns)]
 		copy(s, ns)
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j] < s[j-1]; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
+		slices.Sort(s)
 	} else {
 		s = sortedCopy(ns)
 	}

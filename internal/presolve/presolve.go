@@ -23,7 +23,7 @@ package presolve
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 
 	"lcm/internal/acfg"
@@ -106,10 +106,15 @@ type Analysis struct {
 	wmemo map[string]*Certificate // queryKey → witness cert; nil = no witness found
 	amemo map[string]*Certificate // archKey → arch-witness cert; nil = none
 
-	// bfs is bfsPath's reusable scratch: epoch-stamped visit marks, so
-	// each search clears nothing. Owned by the single detector goroutine
-	// that owns this Analysis (see the type comment above).
-	bfs struct {
+	// Arch-witness state (witness.go), owned like everything here by the
+	// single detector goroutine that owns this Analysis: the entry BFS
+	// tree, the per-waypoint memo of the takes along its paths, the take
+	// assignment under construction, and bfsTree's epoch-stamped visit
+	// marks, so a witness clears and allocates no graph-sized table.
+	tree   []int32
+	prefix [][]BranchTake
+	takes  takeScratch
+	bfs    struct {
 		parent []int32
 		stamp  []uint32
 		epoch  uint32
@@ -172,7 +177,7 @@ func (a *Analysis) feasFor(b int, v bool) *feasSet {
 	})
 	// The greatest fixpoint is unique whatever the deletion order; sorting
 	// just keeps the sweep sequence (and its round count) reproducible.
-	sortInts(ids)
+	slices.Sort(ids)
 	ba := a.f.arms.of(b)
 	for changed := true; changed; {
 		changed = false
@@ -529,21 +534,7 @@ func sortedCopy(ns []int) []int {
 	if len(ns) == 0 {
 		return nil
 	}
-	s := append([]int{}, ns...)
-	sortInts(s)
+	s := slices.Clone(ns)
+	slices.Sort(s)
 	return s
-}
-
-// sortInts insertion-sorts short lists (query node lists mostly are) and
-// hands longer ones — window eligibility sweeps — to sort.Ints.
-func sortInts(s []int) {
-	if len(s) > 32 {
-		sort.Ints(s)
-		return
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -1,6 +1,11 @@
 package presolve
 
-import "lcm/internal/acfg"
+import (
+	"cmp"
+	"slices"
+
+	"lcm/internal/acfg"
+)
 
 // The witness rule is the dual of RefuteQuery: instead of proving a query
 // UNSAT it constructs an explicit satisfying assignment of the S-AEG
@@ -63,44 +68,30 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 	// Entry-to-b prefix: any BFS path is take-realizable, because each hop
 	// is a successor edge and a simple path resolves every branch on it at
 	// most once.
-	path := a.bfsPath(g.Entry, b)
+	path := a.entryPath(b)
 	if path == nil {
 		return &satWitness{} // entry cannot reach b: refutation territory
 	}
 
+	sc := a.beginTakes()
 	onPath := make([]bool, g.Len())
-	takes := map[int]bool{}
 	for i, n := range path {
 		onPath[n] = true
 		if i+1 < len(path) {
 			if t, ok := takeFor(g, n, path[i+1]); ok {
-				takes[n] = t
+				a.setTake(n, t)
 			}
 		}
 	}
-	takes[b] = v
+	a.setTake(b, v)
 
 	// Continue past b along the take-selected successors until the path
 	// closes on itself or exits: the Iff semantics of encodeArch force the
 	// architectural set to be exactly such a maximal path, so stopping
 	// early would leave a node whose selected successor is un-executed.
 	for cur := b; ; {
-		succ := a.f.G.Succs(cur)
-		if len(succ) == 0 {
-			break
-		}
-		next := succ[0]
-		if g.Nodes[cur].IsBranch() && len(succ) >= 2 && succ[0] != succ[1] {
-			t, ok := takes[cur]
-			if !ok {
-				t = true
-				takes[cur] = t
-			}
-			if !t {
-				next = succ[1]
-			}
-		}
-		if onPath[next] {
+		next, ok := a.selectedSucc(cur)
+		if !ok || onPath[next] {
 			break
 		}
 		onPath[next] = true
@@ -121,7 +112,7 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 	})
 	// The least fixpoint is order-independent; sorting keeps the sweep
 	// (and the round count) reproducible across map iteration orders.
-	sortInts(elig)
+	slices.Sort(elig)
 	for changed := true; changed; {
 		changed = false
 		for _, id := range elig {
@@ -152,18 +143,13 @@ func (a *Analysis) buildWitness(b int, v bool) *satWitness {
 		}
 	}
 
-	tl := make([]BranchTake, 0, len(takes))
-	for br, t := range takes {
-		tl = append(tl, BranchTake{Branch: br, Take: t})
-	}
-	sortTakes(tl)
 	var fl []int
 	for n, f := range fetch {
 		if f {
 			fl = append(fl, n)
 		}
 	}
-	return &satWitness{ok: true, path: path, onPath: onPath, takes: tl, fetch: fetch, fetchList: fl}
+	return &satWitness{ok: true, path: path, onPath: onPath, takes: sc.takeList(), fetch: fetch, fetchList: fl}
 }
 
 // takeFor reports the take value that routes branch p to successor q,
@@ -259,82 +245,252 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 
 	// Take assignments along entry → ord[0] → … → ord[k]; conflicts fail
 	// the witness (impossible on a DAG, but checked rather than trusted).
-	takes := map[int]bool{}
+	// The entry prefix comes from the shared entry BFS tree; only the
+	// short waypoint-to-waypoint segments search.
+	sc := a.beginTakes()
 	cur := g.Entry
 	for _, w := range ord {
 		if w == cur {
 			continue
 		}
-		seg := a.bfsPath(cur, w)
-		if seg == nil {
-			return nil
-		}
-		for i := 0; i+1 < len(seg); i++ {
-			if t, ok := takeFor(g, seg[i], seg[i+1]); ok {
-				if prev, dup := takes[seg[i]]; dup && prev != t {
+		if cur == g.Entry {
+			prefix := a.entryTakes(w)
+			if prefix == nil {
+				return nil
+			}
+			for _, bt := range prefix {
+				if !a.setTake(bt.Branch, bt.Take) {
 					return nil
 				}
-				takes[seg[i]] = t
 			}
+		} else if !a.segmentTakes(cur, w) {
+			return nil
 		}
 		cur = w
 	}
 
 	// Replay the take assignment from entry: the selected path must visit
 	// every waypoint, and extends maximally so the arch Iff closes.
-	var path []int
-	onPath := make([]bool, g.Len())
+	path := sc.path[:0]
 	for n := g.Entry; ; {
 		path = append(path, n)
-		onPath[n] = true
-		succ := g.Succs(n)
-		if len(succ) == 0 {
-			break
-		}
-		next := succ[0]
-		if g.Nodes[n].IsBranch() && len(succ) >= 2 && succ[0] != succ[1] {
-			t, ok := takes[n]
-			if !ok {
-				t = true
-				takes[n] = t
-			}
-			if !t {
-				next = succ[1]
-			}
-		}
-		if onPath[next] {
+		sc.onPath[n] = sc.epoch
+		next, ok := a.selectedSucc(n)
+		if !ok || sc.onPath[next] == sc.epoch {
 			break
 		}
 		n = next
 	}
+	sc.path = path
 	for _, w := range ord {
-		if !onPath[w] {
+		if sc.onPath[w] != sc.epoch {
 			return nil
 		}
 	}
-
-	tl := make([]BranchTake, 0, len(takes))
-	for br, t := range takes {
-		tl = append(tl, BranchTake{Branch: br, Take: t})
-	}
-	sortTakes(tl)
 	return &Certificate{
 		Kind: KindArchWitness,
 		Fn:   g.Fn,
 		Key:  key,
 		Arch: &ArchFact{
 			Nodes: dedupSorted(nodes),
-			Path:  path,
-			Takes: tl,
+			Path:  slices.Clone(path),
+			Takes: sc.takeList(),
 		},
 	}
 }
 
-// bfsPath returns a shortest path from src to dst over successor edges
-// (nil when unreachable), deterministic in queue order. The visit marks
-// are epoch-stamped scratch on the Analysis (which is single-owner, per
-// the type comment), so repeated calls clear nothing.
-func (a *Analysis) bfsPath(src, dst int) []int {
+// takeScratch is the take assignment under construction, as
+// epoch-stamped tables over node IDs: a witness starts a new epoch
+// instead of clearing (or allocating) a graph-sized table or a map.
+type takeScratch struct {
+	stamp  []uint32 // take[n] is assigned iff stamp[n] == epoch
+	take   []bool
+	onPath []uint32 // n is on the replayed path iff onPath[n] == epoch
+	epoch  uint32
+	set    []int32 // branches assigned this epoch, in assignment order
+	path   []int   // the replayed path, copied out on success
+
+	// The routing table replays walk: next[n] is n's first successor (-1
+	// at an exit), alt[n] its second when n is a proper two-way branch
+	// (-1 otherwise) — so a replay step reads two slices instead of the
+	// node and its successor list.
+	next, alt []int32
+}
+
+// beginTakes starts an empty take assignment.
+func (a *Analysis) beginTakes() *takeScratch {
+	sc := &a.takes
+	if g := a.f.G; len(sc.stamp) < g.Len() {
+		n := g.Len()
+		sc.stamp = make([]uint32, n)
+		sc.take = make([]bool, n)
+		sc.onPath = make([]uint32, n)
+		sc.next = make([]int32, n)
+		sc.alt = make([]int32, n)
+		for id, node := range g.Nodes {
+			succ := g.Succs(id)
+			sc.next[id], sc.alt[id] = -1, -1
+			if len(succ) > 0 {
+				sc.next[id] = int32(succ[0])
+			}
+			if node.IsBranch() && len(succ) >= 2 && succ[0] != succ[1] {
+				sc.alt[id] = int32(succ[1])
+			}
+		}
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wraparound: drop every stale mark
+		clear(sc.stamp)
+		clear(sc.onPath)
+		sc.epoch = 1
+	}
+	sc.set = sc.set[:0]
+	return sc
+}
+
+// setTake assigns take(n) = t, reporting false on a conflicting earlier
+// assignment.
+func (a *Analysis) setTake(n int, t bool) bool {
+	sc := &a.takes
+	if sc.stamp[n] == sc.epoch {
+		return sc.take[n] == t
+	}
+	sc.stamp[n], sc.take[n] = sc.epoch, t
+	sc.set = append(sc.set, int32(n))
+	return true
+}
+
+// selectedSucc returns the successor the current take assignment routes
+// n to, assigning take(n) = true to a proper branch not yet assigned.
+// ok is false at an exit.
+func (a *Analysis) selectedSucc(n int) (next int, ok bool) {
+	sc := &a.takes
+	if sc.next[n] < 0 {
+		return 0, false
+	}
+	if alt := sc.alt[n]; alt >= 0 {
+		if sc.stamp[n] != sc.epoch {
+			a.setTake(n, true)
+		} else if !sc.take[n] {
+			return int(alt), true
+		}
+	}
+	return int(sc.next[n]), true
+}
+
+// takeList returns the epoch's take assignment sorted by branch ID. The
+// slice is non-nil even when empty: certificates have always carried it
+// that way, and the reference-equality tests compare with DeepEqual.
+func (sc *takeScratch) takeList() []BranchTake {
+	tl := make([]BranchTake, len(sc.set))
+	for i, n := range sc.set {
+		tl[i] = BranchTake{Branch: int(n), Take: sc.take[n]}
+	}
+	slices.SortFunc(tl, func(x, y BranchTake) int { return cmp.Compare(x.Branch, y.Branch) })
+	return tl
+}
+
+// entryTree returns (building on first use) the parent links of one full
+// breadth-first search from entry: entry is its own parent and nodes
+// entry cannot reach have -1. A pruned bfsTree(entry, w) — one that
+// skips nodes ordered after w topologically — returns exactly w's parent
+// chain in this tree: a pruned node can only discover nodes ordered
+// after itself, which are pruned too, so the pruned search is the full
+// search's queue with the pruned nodes deleted and every kept node gets
+// the same parent. One tree therefore serves every entry→w prefix.
+func (a *Analysis) entryTree() []int32 {
+	if a.tree != nil {
+		return a.tree
+	}
+	g := a.f.G
+	parent := make([]int32, g.Len())
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[g.Entry] = int32(g.Entry)
+	queue := make([]int32, 1, g.Len())
+	queue[0] = int32(g.Entry)
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		for _, s := range g.Succs(int(n)) {
+			if parent[s] < 0 {
+				parent[s] = n
+				queue = append(queue, int32(s))
+			}
+		}
+	}
+	a.tree = parent
+	return parent
+}
+
+// entryPath returns the entry BFS tree's path entry → w, entry first
+// (nil when entry cannot reach w).
+func (a *Analysis) entryPath(w int) []int {
+	tree := a.entryTree()
+	if tree[w] < 0 {
+		return nil
+	}
+	var path []int
+	for n := w; ; n = int(tree[n]) {
+		path = append(path, n)
+		if n == a.f.G.Entry {
+			break
+		}
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// entryTakes returns (memoized per waypoint) the take assignment along
+// the entry tree's path to w, nil when entry cannot reach w. A reachable
+// w with no branch on its prefix gets a non-nil empty list.
+func (a *Analysis) entryTakes(w int) []BranchTake {
+	tree := a.entryTree()
+	if tree[w] < 0 {
+		return nil
+	}
+	if a.prefix == nil {
+		a.prefix = make([][]BranchTake, a.f.G.Len())
+	}
+	if p := a.prefix[w]; p != nil {
+		return p
+	}
+	p := []BranchTake{}
+	for n := w; n != a.f.G.Entry; n = int(tree[n]) {
+		if t, ok := takeFor(a.f.G, int(tree[n]), n); ok {
+			p = append(p, BranchTake{Branch: int(tree[n]), Take: t})
+		}
+	}
+	// Path order, entry first: node IDs mostly ascend along a path, so
+	// the take list a witness sorts starts out nearly sorted.
+	slices.Reverse(p)
+	a.prefix[w] = p
+	return p
+}
+
+// segmentTakes assigns the takes along a shortest path src → dst,
+// reporting false when dst is unreachable or a take conflicts with an
+// earlier assignment.
+func (a *Analysis) segmentTakes(src, dst int) bool {
+	parent, ok := a.bfsTree(src, dst)
+	if !ok {
+		return false
+	}
+	for n := dst; n != src; n = int(parent[n]) {
+		if t, ok := takeFor(a.f.G, int(parent[n]), n); ok && !a.setTake(int(parent[n]), t) {
+			return false
+		}
+	}
+	return true
+}
+
+// bfsTree runs a breadth-first search from src until it discovers dst,
+// returning the parent links (valid until the next call) and whether dst
+// was reached; dst's parent chain is a shortest path, deterministic in
+// queue order. The visit marks are epoch-stamped scratch on the Analysis
+// (which is single-owner, per the type comment), so repeated calls clear
+// nothing.
+func (a *Analysis) bfsTree(src, dst int) ([]int32, bool) {
 	g := a.f.G
 	sc := &a.bfs
 	if len(sc.parent) < g.Len() {
@@ -351,9 +507,7 @@ func (a *Analysis) bfsPath(src, dst int) []int {
 	}
 	sc.epoch++
 	if sc.epoch == 0 { // stamp wraparound: drop every stale mark
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
+		clear(sc.stamp)
 		sc.epoch = 1
 	}
 	ep := sc.epoch
@@ -370,29 +524,7 @@ func (a *Analysis) bfsPath(src, dst int) []int {
 		}
 	}
 	sc.queue = queue
-	if sc.stamp[dst] != ep {
-		return nil
-	}
-	var path []int
-	for n := dst; ; n = int(sc.parent[n]) {
-		path = append(path, n)
-		if n == src {
-			break
-		}
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
-// sortTakes orders a take assignment by branch ID.
-func sortTakes(tl []BranchTake) {
-	for i := 1; i < len(tl); i++ {
-		for j := i; j > 0 && tl[j].Branch < tl[j-1].Branch; j-- {
-			tl[j], tl[j-1] = tl[j-1], tl[j]
-		}
-	}
+	return sc.parent, sc.stamp[dst] == ep
 }
 
 // dedupSorted sorts and deduplicates a node list.

@@ -1,9 +1,6 @@
 // Package workpool implements the bounded, deterministic worker pool
-// behind every parallel sweep in this repo. It lives below both the
-// harness (which fans analyses out across functions) and the detector
-// (which shards pure precomputation within one function), so the two
-// levels of parallelism share one scheduling and fault-tolerance story
-// without an import cycle.
+// behind every parallel sweep in this repo: the harness fans analyses out
+// across functions with it, and the CLIs reuse it for their -j flags.
 package workpool
 
 import (
@@ -107,44 +104,4 @@ func runJob(i int, job func(i int) error) (err error) {
 		return ierr
 	}
 	return job(i)
-}
-
-// Prewarm runs job(0), …, job(n-1) over at most workers goroutines for
-// jobs that only warm memo caches with pure, recomputable results. Unlike
-// ForEach it fires no fault-injection probes — cache warming is not a
-// failure origin, and firing worker.dispatch here would make chaos probe
-// tallies depend on the shard width — and it swallows panics: a job that
-// panics simply leaves its cache entry cold, so the serial consumer
-// recomputes the same value and surfaces the same panic on the calling
-// goroutine, where the supervisor's recovery can see it.
-func Prewarm(workers, n int, job func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	quiet := func(i int) {
-		defer func() { recover() }()
-		job(i)
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			quiet(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				quiet(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }
