@@ -24,6 +24,7 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"sync"
 	"time"
 
 	"lcm/internal/campstore"
@@ -200,6 +201,9 @@ var workerCommand = func(o genOptions) (*exec.Cmd, error) {
 // unfinished items. The loop stalls out — rather than spinning forever —
 // if successive waves stop making progress.
 func runWorkerWaves(o genOptions, st *campstore.Store, stdout, stderr io.Writer) int {
+	// Every worker shares stderr, and exec copies a non-file writer
+	// through one goroutine per process: serialize the writes.
+	stderr = &lockedWriter{w: stderr}
 	stalled := 0
 	for wave := 1; ; wave++ {
 		if err := st.Sync(); err != nil {
@@ -247,6 +251,18 @@ func runWorkerWaves(o genOptions, st *campstore.Store, stdout, stderr io.Writer)
 			stalled = 0
 		}
 	}
+}
+
+// lockedWriter serializes concurrent writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // genSummarize prints the per-verdict summary, writes the report, and

@@ -9,6 +9,7 @@ package acfg
 
 import (
 	"fmt"
+	"slices"
 
 	"lcm/internal/ir"
 )
@@ -113,7 +114,7 @@ func Build(m *ir.Module, fn string, opts Options) (*Graph, error) {
 	if f == nil || f.IsDecl() {
 		return nil, fmt.Errorf("acfg: no definition for %q", fn)
 	}
-	b := &builder{m: m, opts: opts, g: &Graph{Fn: fn}}
+	b := &builder{m: m, opts: opts, g: &Graph{Fn: fn}, uses: map[int][]argPos{}, rets: map[int][]int{}}
 	entry := b.newNode(&Node{Kind: NEntry, Ctx: fn})
 	b.g.Entry = entry.ID
 	chain := map[string]int{}
@@ -135,8 +136,26 @@ type builder struct {
 	m     *ir.Module
 	opts  Options
 	g     *Graph
-	edges [][2]int
+	edges []edge
+
+	// uses[c] lists the operand lists the ID of pending call node c was
+	// written into, so splicing c rewrites exactly those (def-use index).
+	uses map[int][]argPos
+	// rets[c] holds spliced call c's callee rets: its call-out edges stand
+	// for one edge from each of them.
+	rets map[int][]int
 }
+
+// edge is one wiring edge in creation order. A call-out edge leaves a call
+// node before that call is spliced; finish expands it, in place, into one
+// edge from each callee ret, which is where the call's continuation moves.
+type edge struct {
+	from, to int
+	callOut  bool
+}
+
+// argPos names one operand list: Nodes[node].ArgDefs[op].
+type argPos struct{ node, op int }
 
 func (b *builder) newNode(n *Node) *Node {
 	n.ID = len(b.g.Nodes)
@@ -144,20 +163,87 @@ func (b *builder) newNode(n *Node) *Node {
 	return n
 }
 
-func (b *builder) edge(from, to int) { b.edges = append(b.edges, [2]int{from, to}) }
+// pendingCall reports whether node id is a call still waiting to be
+// spliced; splicing turns it into a fence marker.
+func (b *builder) pendingCall(id int) bool {
+	n := b.g.Nodes[id]
+	return n.Kind == NInstr && n.Instr.Op == ir.OpCall
+}
 
+func (b *builder) edge(from, to int) {
+	b.edges = append(b.edges, edge{from: from, to: to, callOut: b.pendingCall(from)})
+}
+
+// setArgDefs stores one operand list and indexes it under every pending
+// call it names.
+func (b *builder) setArgDefs(p argPos, defs []int) {
+	b.g.Nodes[p.node].ArgDefs[p.op] = defs
+	for _, d := range defs {
+		if b.pendingCall(d) {
+			b.uses[d] = append(b.uses[d], p)
+		}
+	}
+}
+
+// splice replaces pending call c by its inlined body: every operand list
+// naming c gets the callee's returned defs in c's place, c's out-edges
+// move to the callee rets, and c becomes a fence marker entering the
+// callee at first.
+func (b *builder) splice(c int, callee *ir.Func, first int, lasts, retDefs []int) {
+	for _, p := range b.uses[c] {
+		ds := b.g.Nodes[p.node].ArgDefs[p.op]
+		hits := 0
+		for _, d := range ds {
+			if d == c {
+				hits++
+			}
+		}
+		if hits == 0 {
+			continue // position listed twice; already rewritten
+		}
+		var out []int
+		if k := len(ds) + hits*(len(retDefs)-1); k > 0 {
+			out = make([]int, 0, k)
+		}
+		for _, d := range ds {
+			if d == c {
+				out = append(out, retDefs...)
+			} else {
+				out = append(out, d)
+			}
+		}
+		b.setArgDefs(p, out)
+	}
+	delete(b.uses, c)
+	b.rets[c] = lasts
+	n := b.g.Nodes[c]
+	n.Kind = NInstr
+	n.Instr = &ir.Instr{Op: ir.OpFence, Sub: "inlined:" + callee.Nm}
+	n.ArgDefs = nil
+	b.edge(c, first)
+}
+
+// finish expands call-out edges and builds the deduplicated adjacency,
+// keeping each edge's first occurrence in list order.
 func (b *builder) finish() {
 	n := len(b.g.Nodes)
 	b.g.succs = make([][]int, n)
 	b.g.preds = make([][]int, n)
-	seen := map[[2]int]bool{}
+	add := func(from, to int) {
+		if slices.Contains(b.g.succs[from], to) {
+			return
+		}
+		b.g.succs[from] = append(b.g.succs[from], to)
+		b.g.preds[to] = append(b.g.preds[to], from)
+	}
 	for _, e := range b.edges {
-		if seen[e] {
+		if !e.callOut {
+			add(e.from, e.to)
 			continue
 		}
-		seen[e] = true
-		b.g.succs[e[0]] = append(b.g.succs[e[0]], e[1])
-		b.g.preds[e[1]] = append(b.g.preds[e[1]], e[0])
+		for _, l := range b.rets[e.from] {
+			add(l, e.to)
+		}
 	}
 }
 
@@ -226,24 +312,19 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 		return 0, nil, nil, fmt.Errorf("acfg: empty function %q", f.Nm)
 	}
 
-	// Per block-instance, the nodes created for its instructions and the
-	// def map from (instr, instance) to node.
-	type instrKey struct {
-		in   *ir.Instr
-		inst *blockInstance
-	}
-	defs := map[*ir.Instr][]int{} // instruction → all instances' node IDs
-	firstNode := map[*blockInstance]int{}
-	lastNode := map[*blockInstance]int{}
+	// Per block-instance, the first and last node created for its
+	// instructions, and per instruction all its instances' node IDs.
+	defs := map[*ir.Instr][]int{}
+	firstNode := make([]int, len(insts))
+	lastNode := make([]int, len(insts))
 	var retNodes []int
 	var retDefs []int
-	// callSplices records call nodes to splice after wiring.
+	// splices records call nodes to splice after wiring.
 	type splice struct {
 		node   *Node
 		callee *ir.Func
 	}
 	var splices []splice
-	_ = instrKey{}
 
 	resolveArg := func(v ir.Value) []int {
 		switch v := v.(type) {
@@ -280,14 +361,17 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 				}
 			}
 			n := b.newNode(&Node{Kind: kind, Instr: in, Ctx: ctx})
-			for _, a := range in.Args {
-				n.ArgDefs = append(n.ArgDefs, resolveArg(a))
+			if len(in.Args) > 0 {
+				n.ArgDefs = make([][]int, len(in.Args))
+				for i, a := range in.Args {
+					b.setArgDefs(argPos{node: n.ID, op: i}, resolveArg(a))
+				}
 			}
 			defs[in] = append(defs[in], n.ID)
 			if prev >= 0 {
 				b.edge(prev, n.ID)
 			} else {
-				firstNode[inst] = n.ID
+				firstNode[inst.id] = n.ID
 			}
 			prev = n.ID
 			if in.Op == ir.OpCall && kind == NInstr {
@@ -304,74 +388,35 @@ func (b *builder) inline(f *ir.Func, chain map[string]int, argDefs [][]int, ctx 
 			// Block contained only an unconditional br: synthesize a
 			// pass-through marker so wiring has an anchor.
 			n := b.newNode(&Node{Kind: NInstr, Instr: &ir.Instr{Op: ir.OpFence, Sub: "nop"}, Ctx: ctx})
-			firstNode[inst] = n.ID
+			firstNode[inst.id] = n.ID
 			prev = n.ID
 		}
-		lastNode[inst] = prev
+		lastNode[inst.id] = prev
 	}
 
 	// Second pass: wire block instances.
 	for _, inst := range insts {
 		for _, s := range inst.succs {
-			b.edge(lastNode[inst], firstNode[s])
+			b.edge(lastNode[inst.id], firstNode[s.id])
 		}
 	}
 
-	// Third pass: splice inlined callees.
+	// Third pass: splice inlined callees. The call node stays as a
+	// pass-through marker entering the callee; its users and its
+	// continuation move to the callee's returns.
 	for _, sp := range splices {
 		subCtx := ctx + "/" + sp.callee.Nm + fmt.Sprintf("#%d", chain[sp.callee.Nm]+1)
 		subFirst, subLasts, subRets, err := b.inline(sp.callee, chain, sp.node.ArgDefs, subCtx)
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		// The call node becomes a pass-through anchor holding the return
-		// defs: rewrite users lazily — users referenced the call node ID
-		// in their ArgDefs; replace with subRets.
-		callID := sp.node.ID
-		for _, n := range b.g.Nodes {
-			for i, ds := range n.ArgDefs {
-				var out []int
-				changed := false
-				for _, d := range ds {
-					if d == callID {
-						out = append(out, subRets...)
-						changed = true
-					} else {
-						out = append(out, d)
-					}
-				}
-				if changed {
-					n.ArgDefs[i] = out
-				}
-			}
-		}
-		// Wire: call node → callee entry; callee rets → a continuation
-		// marker that inherits the call node's outgoing edges. We re-route
-		// edges whose source is the call node to originate at ret nodes.
-		var newEdges [][2]int
-		for _, e := range b.edges {
-			if e[0] == callID {
-				for _, l := range subLasts {
-					newEdges = append(newEdges, [2]int{l, e[1]})
-				}
-				continue
-			}
-			newEdges = append(newEdges, e)
-		}
-		b.edges = newEdges
-		b.edge(callID, subFirst)
-		// Mark the call node as spliced: downstream passes see it as a
-		// no-op marker.
-		sp.node.Kind = NInstr
-		sp.node.Instr = &ir.Instr{Op: ir.OpFence, Sub: "inlined:" + sp.callee.Nm}
-		sp.node.ArgDefs = nil
+		b.splice(sp.node.ID, sp.callee, subFirst, subLasts, subRets)
 	}
 
 	// Entry point and final nodes. Rets within inlined calls terminate the
 	// *callee*; for the instance set built here, function-level lasts are
 	// ret nodes.
-	first := firstNode[insts[0]]
-	return first, retNodes, retDefs, nil
+	return firstNode[insts[0].id], retNodes, retDefs, nil
 }
 
 // Topo returns the nodes in topological order (the graph is a DAG by

@@ -10,7 +10,7 @@
 // followed by allocas and globals in first-appearance order), points-to
 // and memory-contents sets are dataflow.BitSet words, and the fixpoint is
 // a dirty-node worklist that provably evaluates the same node/state
-// sequence as the naive round-robin reference (ref.go) with the no-op
+// sequence as the naive round-robin reference (ref_test.go) with the no-op
 // evaluations elided. Alias queries are answered from per-memory-node
 // summaries precomputed once after the fixpoint, so MayAlias and friends
 // are a few word operations instead of a fresh map resolution per call.
@@ -446,6 +446,49 @@ func (a *Analysis) MayAliasTransient(m, n *acfg.Node) bool {
 		}
 	}
 	return false
+}
+
+// LoadIndex inverts the load summaries by location, so the loads a store
+// may alias are found by a union over the store's alias mask instead of a
+// MayAlias test per load. It is built on demand and owned by the caller.
+type LoadIndex struct {
+	a *Analysis
+	// loadsAt[l] is the set of load node IDs whose address may point at
+	// location l (nil: no such load).
+	loadsAt []dataflow.BitSet
+}
+
+// LoadIndex builds the per-location index of the graph's loads.
+func (a *Analysis) LoadIndex() *LoadIndex {
+	x := &LoadIndex{a: a, loadsAt: make([]dataflow.BitSet, len(a.locs))}
+	for _, n := range a.g.Nodes {
+		if !n.IsLoad() {
+			continue
+		}
+		a.forEachLoc(a.sums[n.ID].addr, func(l int) {
+			if x.loadsAt[l] == nil {
+				x.loadsAt[l] = dataflow.NewBitSet(a.g.Len())
+			}
+			x.loadsAt[l].Set(n.ID)
+		})
+	}
+	return x
+}
+
+// MayAliasLoads sets out (a node-ID set, cleared first) to exactly the
+// loads l with MayAlias(s, l): the union of the load sets of every
+// location in s's alias mask.
+func (x *LoadIndex) MayAliasLoads(s *acfg.Node, out dataflow.BitSet) {
+	out.Reset()
+	p := &x.a.sums[s.ID]
+	if !p.valid {
+		return
+	}
+	x.a.forEachLoc(p.aliasMask, func(l int) {
+		if loads := x.loadsAt[l]; loads != nil {
+			out.UnionInto(loads)
+		}
+	})
 }
 
 // SameAlloca reports whether both accesses certainly target the same

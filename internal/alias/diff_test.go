@@ -5,15 +5,17 @@ package alias_test
 // reference (AnalyzeRef) over the whole litmus corpus, every cryptolib
 // function, and 200 seeded progen programs. Any divergence in MayAlias,
 // MayAliasTransient, SameAlloca, or a PointsTo set is a bug in the dense
-// implementation by definition — ref.go's semantics are frozen.
+// implementation by definition — ref_test.go's semantics are frozen.
 
 import (
+	"math/bits"
 	"sort"
 	"testing"
 
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
 	"lcm/internal/cryptolib"
+	"lcm/internal/dataflow"
 	"lcm/internal/ir"
 	"lcm/internal/litmus"
 	"lcm/internal/lower"
@@ -173,5 +175,86 @@ func TestDenseMatchesReferenceProgen(t *testing.T) {
 	for _, p := range progs {
 		m := lowerSrc(t, p.Fn, p.Src)
 		diffModule(t, "progen", m)
+	}
+}
+
+// diffLoadIndex checks the per-location load index against the pairwise
+// verdicts: for every store s, MayAliasLoads(s) must be exactly the loads
+// l with MayAlias(s, l). Every pair is checked against the dense
+// analysis; the reference analysis, which resolves two map-based sets per
+// query, checks every pair up to 256 stores and 256 loads and a
+// deterministic stride sample of each dimension past that, as diffFunc
+// does.
+func diffLoadIndex(t *testing.T, label string, m *ir.Module) {
+	t.Helper()
+	for _, f := range m.Funcs {
+		if f.IsDecl() {
+			continue
+		}
+		g, err := acfg.Build(m, f.Nm, acfg.Options{})
+		if err != nil {
+			t.Fatalf("%s/%s: acfg: %v", label, f.Nm, err)
+		}
+		dense := alias.Analyze(g)
+		ref := alias.AnalyzeRef(g)
+		var stores, loads []*acfg.Node
+		for _, n := range g.Nodes {
+			if n.IsStore() {
+				stores = append(stores, n)
+			}
+			if n.IsLoad() {
+				loads = append(loads, n)
+			}
+		}
+		stride := func(n int) int { return max(1, (n+255)/256) }
+		storeStep, loadStep := stride(len(stores)), stride(len(loads))
+		idx := dense.LoadIndex()
+		hits := dataflow.NewBitSet(g.Len())
+		for si, s := range stores {
+			idx.MayAliasLoads(s, hits)
+			listed := 0
+			for li, l := range loads {
+				got := hits.Has(l.ID)
+				if got {
+					listed++
+				}
+				if want := dense.MayAlias(s, l); got != want {
+					t.Fatalf("%s/%s: store %d load %d: index %v, MayAlias %v", label, f.Nm, s.ID, l.ID, got, want)
+				}
+				if si%storeStep != 0 || li%loadStep != 0 {
+					continue
+				}
+				if want := ref.MayAlias(s, l); got != want {
+					t.Fatalf("%s/%s: store %d load %d: index %v, reference MayAlias %v", label, f.Nm, s.ID, l.ID, got, want)
+				}
+			}
+			if n := popcount(hits); n != listed {
+				t.Fatalf("%s/%s: store %d: index lists %d nodes, %d of them loads", label, f.Nm, s.ID, n, listed)
+			}
+		}
+	}
+}
+
+func popcount(s dataflow.BitSet) int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+func TestAliasUnionMatchesMayAlias(t *testing.T) {
+	for _, c := range litmus.All() {
+		diffLoadIndex(t, "litmus/"+c.Name, lowerSrc(t, c.Name, c.Source))
+	}
+	for _, lib := range cryptolib.All() {
+		diffLoadIndex(t, "cryptolib/"+lib.Name, lowerSrc(t, lib.Name, lib.Source))
+	}
+	progs, err := progen.GenerateN(1, 200)
+	if err != nil {
+		t.Fatalf("progen: %v", err)
+	}
+	for _, p := range progs {
+		diffLoadIndex(t, "progen", lowerSrc(t, p.Fn, p.Src))
 	}
 }

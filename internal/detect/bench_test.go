@@ -1,9 +1,10 @@
 package detect
 
 // Frontend and end-to-end benchmarks over the two heaviest cryptolib
-// subjects. The frontend pair isolates the dense rewrite's stages —
-// points-to solving and value-flow construction plus a full reach sweep —
-// while BenchmarkDetectDonna runs both engines over donna's Montgomery
+// subjects. The frontend benchmarks isolate its stages — A-CFG
+// construction with call splicing, points-to solving, value-flow CSR
+// construction, and a full per-source reach sweep over that CSR — while
+// BenchmarkDetectDonna runs both engines over donna's Montgomery
 // ladder, the workload the BENCH_parallel.json acceptance numbers track.
 // `make profile BENCH=BenchmarkDetectDonna` captures a CPU profile.
 
@@ -13,6 +14,7 @@ import (
 	"lcm/internal/acfg"
 	"lcm/internal/alias"
 	"lcm/internal/cryptolib"
+	"lcm/internal/ir"
 )
 
 // benchSubjects are the corpus entries the frontend benchmarks sweep.
@@ -24,19 +26,40 @@ var benchSubjects = []struct {
 	{"secretbox", "crypto_secretbox_open"},
 }
 
-// benchGraph builds the subject's A-CFG once, outside the timed loop.
-func benchGraph(b *testing.B, libName, fn string) *acfg.Graph {
+// benchModule compiles the subject's library once, outside the timed loop.
+func benchModule(b *testing.B, libName string) *ir.Module {
 	b.Helper()
 	lib, ok := cryptolib.Lookup(libName)
 	if !ok {
 		b.Fatalf("corpus entry %q missing", libName)
 	}
-	m := compile(b, lib.Source)
-	g, err := acfg.Build(m, fn, acfg.Options{})
+	return compile(b, lib.Source)
+}
+
+// benchGraph builds the subject's A-CFG once, outside the timed loop.
+func benchGraph(b *testing.B, libName, fn string) *acfg.Graph {
+	b.Helper()
+	g, err := acfg.Build(benchModule(b, libName), fn, acfg.Options{})
 	if err != nil {
 		b.Fatalf("acfg: %v", err)
 	}
 	return g
+}
+
+func BenchmarkFrontendACFG(b *testing.B) {
+	for _, s := range benchSubjects {
+		s := s
+		b.Run(s.lib, func(b *testing.B) {
+			m := benchModule(b, s.lib)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := acfg.Build(m, s.fn, acfg.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkFrontendAlias(b *testing.B) {
@@ -53,19 +76,27 @@ func BenchmarkFrontendAlias(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontendFlow times the value-flow CSR construction (build)
+// apart from the full per-source reach sweep the engines amortize
+// through the memo (sweep, from a cold memo each iteration).
 func BenchmarkFrontendFlow(b *testing.B) {
 	for _, s := range benchSubjects {
 		s := s
-		b.Run(s.lib, func(b *testing.B) {
-			g := benchGraph(b, s.lib, s.fn)
-			al := alias.Analyze(g)
-			reach := cfgReachability(g)
+		g := benchGraph(b, s.lib, s.fn)
+		al := alias.Analyze(g)
+		reach := cfgReachability(g)
+		b.Run(s.lib+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildFlowGraph(g, al, reach)
+			}
+		})
+		b.Run(s.lib+"/sweep", func(b *testing.B) {
+			fg := buildFlowGraph(g, al, reach)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Construction plus the full per-source reach sweep the
-				// engines amortize through the memo.
-				fg := buildFlowGraph(g, al, reach)
+				fg.memo = map[int]reachInfo{}
 				for _, n := range g.Nodes {
 					if n.IsLoad() || n.IsStore() {
 						fg.from(n.ID)

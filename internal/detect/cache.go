@@ -62,15 +62,16 @@ func buildFrontend(m *ir.Module, fn string, opts acfg.Options) (*frontend, error
 	aliasStart := time.Now()
 	al := alias.Analyze(g)
 	aliasTime := time.Since(aliasStart)
+	rows := cfgReachability(g)
 	fe := &frontend{
 		g:         g,
 		al:        al,
 		ta:        taint.Analyze(g, al),
-		cfgReach:  cfgReachability(g),
+		cfgReach:  rows.reaches,
 		aliasTime: aliasTime,
 	}
 	flowStart := time.Now()
-	fe.flow = buildFlowGraph(g, al, fe.cfgReach)
+	fe.flow = buildFlowGraph(g, al, rows)
 	fe.flowTime = time.Since(flowStart)
 	return fe, nil
 }

@@ -627,29 +627,32 @@ func (d *detector) candStatFor(key candKey) *candStat {
 	return cs
 }
 
-// cfgReachability precomputes DAG reachability as bitsets.
-func cfgReachability(g *acfg.Graph) func(from, to int) bool {
+// reachRows is DAG reachability as bitsets: row n holds n itself and
+// every node reachable from it.
+type reachRows []dataflow.BitSet
+
+// cfgReachability precomputes the reachability rows in reverse
+// topological order.
+func cfgReachability(g *acfg.Graph) reachRows {
 	n := g.Len()
-	words := (n + 63) / 64
-	reach := make([][]uint64, n)
+	rows := make(reachRows, n)
 	topo := g.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		id := topo[i]
-		row := make([]uint64, words)
-		row[id/64] |= 1 << (uint(id) % 64)
+		row := dataflow.NewBitSet(n)
+		row.Set(id)
 		for _, s := range g.Succs(id) {
-			for w, bits := range reach[s] {
-				row[w] |= bits
-			}
+			row.UnionInto(rows[s])
 		}
-		reach[id] = row
+		rows[id] = row
 	}
-	return func(from, to int) bool {
-		if from == to {
-			return false
-		}
-		return reach[from][to/64]&(1<<(uint(to)%64)) != 0
-	}
+	return rows
+}
+
+// reaches reports whether a non-empty CFG path leads from one node to
+// another.
+func (r reachRows) reaches(from, to int) bool {
+	return from != to && r[from].Has(to)
 }
 
 // flowFrom returns the value-flow reach info of one source node. The

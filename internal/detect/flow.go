@@ -40,7 +40,7 @@ type flowGraph struct {
 	memo map[int]reachInfo
 }
 
-func buildFlowGraph(g *acfg.Graph, al *alias.Analysis, cfgReach func(from, to int) bool) *flowGraph {
+func buildFlowGraph(g *acfg.Graph, al *alias.Analysis, reach reachRows) *flowGraph {
 	f := &flowGraph{g: g, memo: map[int]reachInfo{}}
 	type rawEdge struct{ src, packed int32 }
 	var raw []rawEdge
@@ -82,20 +82,24 @@ func buildFlowGraph(g *acfg.Graph, al *alias.Analysis, cfgReach func(from, to in
 		}
 	}
 	// data.rf hops: store s → load l when they may address the same
-	// location and s can reach l.
-	var stores, loads []*acfg.Node
-	for _, n := range g.Nodes {
-		if n.IsStore() {
-			stores = append(stores, n)
+	// location and s can reach l. The may-alias loads come from the
+	// per-location load index, masked by s's reach row (s is no load, so
+	// the row's own bit never matters), and are added in ascending ID
+	// order, the order of a pairwise stores × loads scan.
+	idx := al.LoadIndex()
+	hits := dataflow.NewBitSet(g.Len())
+	for _, s := range g.Nodes {
+		if !s.IsStore() {
+			continue
 		}
-		if n.IsLoad() {
-			loads = append(loads, n)
-		}
-	}
-	for _, s := range stores {
-		for _, l := range loads {
-			if al.MayAlias(s, l) && cfgReach(s.ID, l.ID) {
-				add(s.ID, l.ID, false)
+		idx.MayAliasLoads(s, hits)
+		row := reach[s.ID]
+		for w := range hits {
+			word := hits[w] & row[w]
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				add(s.ID, w*64+b, false)
+				word &^= 1 << uint(b)
 			}
 		}
 	}

@@ -108,9 +108,9 @@ func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 		t.Fatalf("%s/%s: acfg: %v", label, fn, err)
 	}
 	al := alias.Analyze(g)
-	cfgReach := cfgReachability(g)
-	fg := buildFlowGraph(g, al, cfgReach)
-	adj := refFlowEdges(g, al, cfgReach)
+	reach := cfgReachability(g)
+	fg := buildFlowGraph(g, al, reach)
+	adj := refFlowEdges(g, al, reach.reaches)
 	for _, src := range g.Nodes {
 		if !src.IsLoad() && !src.IsStore() {
 			continue

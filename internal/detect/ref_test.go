@@ -10,7 +10,9 @@ package detect
 //   - refCondFeeders, the per-branch scan of every load's reach;
 //   - refFenceReach, the per-source fence-free BFS over a []bool;
 //   - refArch, presolve's arch witness with one BFS per segment
-//     from entry (graph-sized on-path table and a take map per call).
+//     from entry (graph-sized on-path table and a take map per call);
+//   - refFlowGraph, the value-flow CSR with its data.rf hops found by a
+//     MayAlias && cfgReach test per (store, load) pair.
 
 import (
 	"context"
@@ -22,6 +24,7 @@ import (
 
 	"lcm/internal/acfg"
 	"lcm/internal/aeg"
+	"lcm/internal/alias"
 	"lcm/internal/cryptolib"
 	"lcm/internal/dataflow"
 	"lcm/internal/ir"
@@ -452,6 +455,97 @@ func TestArchWitnessMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// refFlowGraph is buildFlowGraph with the pairwise stores × loads hop
+// scan.
+func refFlowGraph(g *acfg.Graph, al *alias.Analysis, cfgReach func(from, to int) bool) *flowGraph {
+	f := &flowGraph{g: g, memo: map[int]reachInfo{}}
+	type rawEdge struct{ src, packed int32 }
+	var raw []rawEdge
+	add := func(src, to int, gep bool) {
+		p := int32(to) << 1
+		if gep {
+			p |= 1
+		}
+		raw = append(raw, rawEdge{src: int32(src), packed: p})
+	}
+	for _, n := range g.Nodes {
+		if n.Instr == nil {
+			continue
+		}
+		switch {
+		case n.Kind == acfg.NHavoc:
+			for _, defs := range n.ArgDefs {
+				for _, d := range defs {
+					add(d, n.ID, false)
+				}
+			}
+		case n.IsLoad():
+		case n.IsStore():
+			for _, d := range n.ArgDefs[0] {
+				add(d, n.ID, false)
+			}
+		case n.Kind == acfg.NInstr:
+			switch n.Instr.Op {
+			case ir.OpBin, ir.OpCmp, ir.OpCast, ir.OpGEP, ir.OpFieldGEP:
+				for i, defs := range n.ArgDefs {
+					gep := n.Instr.Op == ir.OpGEP && i == 1
+					for _, d := range defs {
+						add(d, n.ID, gep)
+					}
+				}
+			}
+		}
+	}
+	var stores, loads []*acfg.Node
+	for _, n := range g.Nodes {
+		if n.IsStore() {
+			stores = append(stores, n)
+		}
+		if n.IsLoad() {
+			loads = append(loads, n)
+		}
+	}
+	for _, s := range stores {
+		for _, l := range loads {
+			if al.MayAlias(s, l) && cfgReach(s.ID, l.ID) {
+				add(s.ID, l.ID, false)
+			}
+		}
+	}
+	n := g.Len()
+	f.start = make([]int32, n+1)
+	for _, e := range raw {
+		f.start[e.src+1]++
+	}
+	for i := 0; i < n; i++ {
+		f.start[i+1] += f.start[i]
+	}
+	f.edges = make([]int32, len(raw))
+	cursor := make([]int32, n)
+	copy(cursor, f.start[:n])
+	for _, e := range raw {
+		f.edges[cursor[e.src]] = e.packed
+		cursor[e.src]++
+	}
+	return f
+}
+
+func TestFlowHopsMatchPairwise(t *testing.T) {
+	for _, s := range refSubjects(t) {
+		fe, err := buildFrontend(s.m, s.fn, acfg.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		want := refFlowGraph(fe.g, fe.al, fe.cfgReach)
+		if !slices.Equal(fe.flow.start, want.start) {
+			t.Fatalf("%s: CSR start differs from the pairwise build", s.name)
+		}
+		if !slices.Equal(fe.flow.edges, want.edges) {
+			t.Fatalf("%s: CSR edges differ from the pairwise build", s.name)
 		}
 	}
 }

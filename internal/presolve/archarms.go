@@ -116,33 +116,9 @@ func (aa *archArms) of(b int) *branchArms {
 	return ba
 }
 
-// reach computes forward reachability from start, never expanding the
-// successors of cut (-1 for none). The cut node itself stays reachable:
-// a path may end at it without resolving its branch. It survives as the
-// reference implementation the dominator- and closure-based fast paths
-// are differentially tested against.
-func (aa *archArms) reach(start, cut int) dataflow.BitSet {
-	out := dataflow.NewBitSet(aa.g.Len())
-	out.Set(start)
-	frontier := []int{start}
-	for len(frontier) > 0 {
-		n := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		if n == cut {
-			continue
-		}
-		for _, s := range aa.g.Succs(n) {
-			if !out.Has(s) {
-				out.Set(s)
-				frontier = append(frontier, s)
-			}
-		}
-	}
-	return out
-}
-
 // bypass reports whether entry reaches n without using b's out-edges —
-// the cut-reachability set reach(entry, b), answered in O(1) from the
+// forward reachability from entry with b's successors cut (the cut-BFS
+// reference in archarms_test.go), answered in O(1) from the
 // dominator tree instead of a fresh BFS per branch: a path through b must
 // continue through one of b's out-edges unless it ends at b, so the only
 // nodes a cut at b removes are those b strictly dominates.
