@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-core check vet fmt lint audit-presolve bench bench-all bench-smoke profile fuzz conform chaos crash-chaos cover
+.PHONY: all build test race race-core check vet fmt lint audit-presolve bench bench-all bench-run bench-smoke profile fuzz conform chaos crash-chaos cover
 
 all: build test
 
@@ -36,8 +36,14 @@ fmt:
 lint:
 	$(GO) run ./tools/determlint ./...
 
-check: vet fmt lint race-core
+check: vet fmt lint race-core bench-run
 	$(GO) test ./internal/attacks ./internal/obsv ./internal/sat ./cmd/clou
+
+# bench-run runs the kernel microbenchmarks (arch witness, frontend
+# stages) once each: a plain `go test` only compiles them, so a benchmark
+# whose setup breaks would otherwise go unnoticed until someone profiles.
+bench-run:
+	$(GO) test -run '^$$' -bench 'ArchWitness|Frontend' -benchtime 1x ./internal/detect
 
 # audit-presolve replays every statically discharged candidate through the
 # full SAT encoding and fails on any disagreement — the soundness gate for

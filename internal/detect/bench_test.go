@@ -3,7 +3,8 @@ package detect
 // Frontend and end-to-end benchmarks over the two heaviest cryptolib
 // subjects. The frontend benchmarks isolate its stages — A-CFG
 // construction with call splicing, points-to solving, value-flow CSR
-// construction, and a full per-source reach sweep over that CSR — while
+// construction, and a full per-source reach sweep over that CSR;
+// BenchmarkArchWitness isolates the pre-solver's arch-witness rule; and
 // BenchmarkDetectDonna runs both engines over donna's Montgomery
 // ladder, the workload the BENCH_parallel.json acceptance numbers track.
 // `make profile BENCH=BenchmarkDetectDonna` captures a CPU profile.
@@ -15,6 +16,7 @@ import (
 	"lcm/internal/alias"
 	"lcm/internal/cryptolib"
 	"lcm/internal/ir"
+	"lcm/internal/presolve"
 )
 
 // benchSubjects are the corpus entries the frontend benchmarks sweep.
@@ -101,6 +103,29 @@ func BenchmarkFrontendFlow(b *testing.B) {
 					if n.IsLoad() || n.IsStore() {
 						fg.from(n.ID)
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkArchWitness replays every Clou-stl arch query (the triples
+// stlArchQueries enumerates) on a cold pre-solver Analysis per iteration,
+// so the entry tree, the prefix memo and the interned paths all start
+// empty.
+func BenchmarkArchWitness(b *testing.B) {
+	for _, s := range benchSubjects {
+		s := s
+		b.Run(s.lib, func(b *testing.B) {
+			d := newTestDetector(b, refSubject{s.lib, benchModule(b, s.lib), s.fn}, DefaultSTL())
+			queries := stlArchQueries(d)
+			facts := d.ps.Facts()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ps := presolve.NewAnalysis(facts, d.a)
+				for _, q := range queries {
+					ps.WitnessArch(q)
 				}
 			}
 		})

@@ -124,7 +124,7 @@ func buildFlowGraph(g *acfg.Graph, al *alias.Analysis, reach reachRows) *flowGra
 
 // reachInfo records value-flow reachability from one source as two
 // bitsets over node IDs: reached nodes, and nodes some reaching path
-// crosses a gep index hop to arrive at.
+// crosses a gep index hop to arrive at (nil until the first such node).
 type reachInfo struct {
 	reached dataflow.BitSet
 	viaGep  dataflow.BitSet
@@ -158,44 +158,70 @@ func (f *flowGraph) memoSize() int {
 	return len(f.memo)
 }
 
+// flowScratch is compute's visit marks and stack, kept across calls: a
+// state st is visited this call iff stamp[st] == epoch, so a new source
+// starts a new epoch instead of allocating a 2n-bit set.
+type flowScratch struct {
+	stamp []uint32
+	epoch uint32
+	stack []int32
+}
+
+// flowScratchPool hands each concurrent compute its own scratch: the PHT
+// and STL detectors of one cached frontend share the flowGraph and may
+// run at the same time. Scratch grows to the largest graph it has seen.
+var flowScratchPool = sync.Pool{New: func() any { return new(flowScratch) }}
+
 // compute runs the DFS over (node, crossed-gep) states. A state is
 // packed node<<1|gep — the same packing as a CSR edge, so following an
 // edge is a single OR of the gep flags.
 func (f *flowGraph) compute(src int) reachInfo {
 	n := f.g.Len()
-	info := reachInfo{reached: dataflow.NewBitSet(n), viaGep: dataflow.NewBitSet(n)}
-	visited := dataflow.NewBitSet(2 * n)
-	stack := make([]int32, 1, 64)
-	stack[0] = int32(src) << 1
+	sc := flowScratchPool.Get().(*flowScratch)
+	defer flowScratchPool.Put(sc)
+	if len(sc.stamp) < 2*n {
+		sc.stamp, sc.epoch = make([]uint32, 2*n), 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wraparound: drop every stale mark
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+	// A state is stamped when pushed, so each is pushed at most once.
+	ep, stamp := sc.epoch, sc.stamp
+	info := reachInfo{reached: dataflow.NewBitSet(n)}
+	stack := append(sc.stack[:0], int32(src)<<1)
+	stamp[src<<1] = ep
 	for len(stack) > 0 {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited.Has(int(st)) {
-			continue
-		}
-		visited.Set(int(st))
 		node, gep := int(st>>1), st&1
 		info.reached.Set(node)
 		if gep != 0 {
+			if info.viaGep == nil {
+				info.viaGep = dataflow.NewBitSet(n)
+			}
 			info.viaGep.Set(node)
 		}
 		for _, e := range f.edges[f.start[node]:f.start[node+1]] {
-			next := e | gep
-			if !visited.Has(int(next)) {
+			if next := e | gep; stamp[next] != ep {
+				stamp[next] = ep
 				stack = append(stack, next)
 			}
 		}
 	}
+	sc.stack = stack
 	return info
 }
 
 // reaches reports whether the source's value reaches node dst, and whether
-// some reaching path crosses a gep index.
+// some reaching path crosses a gep index. A nil viaGep is empty: no
+// reaching path crosses one.
 func (r reachInfo) reaches(dst int) (ok, viaGEPIndex bool) {
 	if r.reached == nil {
 		return false, false
 	}
-	return r.reached.Has(dst), r.viaGep.Has(dst)
+	return r.reached.Has(dst), r.viaGep != nil && r.viaGep.Has(dst)
 }
 
 // popcount returns the number of reached nodes (test support).

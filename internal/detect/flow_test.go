@@ -8,6 +8,8 @@ package detect
 // disagrees.
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"lcm/internal/acfg"
@@ -100,8 +102,9 @@ func refReach(adj map[int][]refEdge, src int) (reached, viaGep map[int]bool) {
 }
 
 // diffFlowFunc pins the CSR graph against the reference for one function,
-// using every load and store as a source.
-func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
+// using every load and store as a source. It returns how many sources
+// reach some node through a gep index hop.
+func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) (viaGep int) {
 	t.Helper()
 	g, err := acfg.Build(m, fn, acfg.Options{})
 	if err != nil {
@@ -128,15 +131,90 @@ func diffFlowFunc(t *testing.T, label string, m *ir.Module, fn string) {
 			t.Fatalf("%s/%s: from(%d) reaches %d nodes, reference %d",
 				label, fn, src.ID, r.popcount(), len(wantReach))
 		}
+		if r.viaGep != nil {
+			viaGep++
+		}
 	}
+	return viaGep
 }
 
 func TestFlowGraphMatchesReferenceLitmus(t *testing.T) {
+	viaGep := 0
 	for _, c := range litmus.All() {
 		m := compile(t, c.Source)
 		for _, f := range m.Funcs {
 			if !f.IsDecl() {
-				diffFlowFunc(t, "litmus/"+c.Name, m, f.Nm)
+				viaGep += diffFlowFunc(t, "litmus/"+c.Name, m, f.Nm)
+			}
+		}
+	}
+	// viaGep is allocated only once a gep-crossing state is reached; the
+	// corpus must exercise that branch, not just the nil one.
+	if viaGep == 0 {
+		t.Fatal("no litmus source reaches a node through a gep index hop")
+	}
+}
+
+// TestFlowFromConcurrent calls from on one cold flowGraph from 8
+// goroutines, each sweeping every load and store from its own starting
+// offset, and compares every answer with a serial sweep of a second
+// graph: the pooled DFS scratch and the memo must not leak state between
+// concurrent sources. make race-core runs it under the race detector.
+func TestFlowFromConcurrent(t *testing.T) {
+	type subject struct {
+		label string
+		m     *ir.Module
+		fn    string
+	}
+	var subjects []subject
+	for _, c := range litmus.All() {
+		subjects = append(subjects, subject{"litmus/" + c.Name, compile(t, c.Source), c.Fn})
+	}
+	lib, ok := cryptolib.Lookup("secretbox")
+	if !ok {
+		t.Fatal("secretbox corpus entry missing")
+	}
+	subjects = append(subjects, subject{"secretbox", compile(t, lib.Source), "crypto_secretbox_open"})
+
+	const workers = 8
+	for _, s := range subjects {
+		g, err := acfg.Build(s.m, s.fn, acfg.Options{})
+		if err != nil {
+			t.Fatalf("%s: acfg: %v", s.label, err)
+		}
+		al := alias.Analyze(g)
+		reach := cfgReachability(g)
+		var srcs []int
+		for _, n := range g.Nodes {
+			if n.IsLoad() || n.IsStore() {
+				srcs = append(srcs, n.ID)
+			}
+		}
+		serial := buildFlowGraph(g, al, reach)
+		want := make([]reachInfo, len(srcs))
+		for i, src := range srcs {
+			want[i] = serial.from(src)
+		}
+		shared := buildFlowGraph(g, al, reach)
+		got := make([][]reachInfo, workers)
+		var wg sync.WaitGroup
+		for w := range got {
+			got[w] = make([]reachInfo, len(srcs))
+			wg.Add(1)
+			go func(out []reachInfo, off int) {
+				defer wg.Done()
+				for k := range srcs {
+					i := (k + off) % len(srcs)
+					out[i] = shared.from(srcs[i])
+				}
+			}(got[w], w*len(srcs)/workers)
+		}
+		wg.Wait()
+		for w := range got {
+			for i, src := range srcs {
+				if !reflect.DeepEqual(got[w][i], want[i]) {
+					t.Fatalf("%s: worker %d from(%d) differs from the serial sweep", s.label, w, src)
+				}
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func refSubjects(t *testing.T) []refSubject {
 
 // newTestDetector wires a detector the way AnalyzeFuncCtx does, uncached
 // and with the default pruner and the pre-solver on, without running it.
-func newTestDetector(t *testing.T, s refSubject, cfg Config) *detector {
+func newTestDetector(t testing.TB, s refSubject, cfg Config) *detector {
 	t.Helper()
 	fe, err := buildFrontend(s.m, s.fn, cfg.ACFG)
 	if err != nil {
@@ -406,13 +406,15 @@ func (r *refArch) witness(nodes []int) *presolve.Certificate {
 		tl = append(tl, presolve.BranchTake{Branch: br, Take: t})
 	}
 	slices.SortFunc(tl, func(x, y presolve.BranchTake) int { return x.Branch - y.Branch })
+	// The key lists every queried node, repeats included; the fact lists
+	// each node once.
 	sorted := slices.Clone(nodes)
 	slices.Sort(sorted)
-	sorted = slices.Compact(sorted)
 	keys := make([]string, len(sorted))
 	for i, n := range sorted {
 		keys[i] = strconv.Itoa(n)
 	}
+	sorted = slices.Compact(sorted)
 	return &presolve.Certificate{
 		Kind: presolve.KindArchWitness,
 		Fn:   g.Fn,
@@ -421,41 +423,161 @@ func (r *refArch) witness(nodes []int) *presolve.Certificate {
 	}
 }
 
+// stlArchQueries returns the (store, load, transmitter) triples the STL
+// and PSF engines query under their default configurations: each bypass
+// pair with each memory node its load steers inside the load's window and
+// past no draining fence.
+func stlArchQueries(d *detector) [][]int {
+	pairs, _ := d.bypassPairs()
+	var srcs []*acfg.Node
+	listed := dataflow.NewBitSet(d.g.Len())
+	for _, p := range pairs {
+		if !listed.Has(p.l) {
+			listed.Set(p.l)
+			srcs = append(srcs, d.g.Nodes[p.l])
+		}
+	}
+	st := d.computeSteering(srcs, d.memoryNodes())
+	var out [][]int
+	for _, p := range pairs {
+		for _, tID := range st.steers[p.l] {
+			if !d.cfgReach(p.l, tID) || !d.nearFrom(p.l).win.Has(tID) || d.fenceBetween(p.s, tID) {
+				continue
+			}
+			out = append(out, []int{p.s, p.l, tID})
+		}
+	}
+	return out
+}
+
+// checkArchRef fails unless WitnessArch(nodes) equals the reference.
+func checkArchRef(t *testing.T, label string, d *detector, ref *refArch, nodes []int) {
+	t.Helper()
+	got, ok := d.ps.WitnessArch(nodes)
+	want := ref.witness(nodes)
+	if ok != (want != nil) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %s: arch witness of %v differs from the reference:\n got %+v\nwant %+v",
+			label, d.cfg.Engine, nodes, got, want)
+	}
+}
+
 // TestArchWitnessMatchesReference checks WitnessArch against the per-call
-// reference on every (store, load, transmitter) triple the STL and PSF
-// engines query under their default configurations: each bypass pair with
-// each memory node its load steers inside the load's window and past no
-// draining fence.
+// reference on every queryArch shape: the STL and PSF engines' 3-node
+// triples (stlArchQueries) on every subject, and, over the litmus
+// taxonomy cases, Clou-imp's 4-node and Clou-ss's 2-node queries. The
+// taxonomy engines run first, so the interned paths their queries leave
+// behind are shared with the enumerations that follow.
 func TestArchWitnessMatchesReference(t *testing.T) {
 	for _, s := range refSubjects(t) {
 		for _, mk := range []func() Config{DefaultSTL, DefaultPSF} {
 			d := newTestDetector(t, s, mk())
-			pairs, _ := d.bypassPairs()
-			var srcs []*acfg.Node
-			listed := dataflow.NewBitSet(d.g.Len())
-			for _, p := range pairs {
-				if !listed.Has(p.l) {
-					listed.Set(p.l)
-					srcs = append(srcs, d.g.Nodes[p.l])
-				}
-			}
-			st := d.computeSteering(srcs, d.memoryNodes())
 			ref := newRefArch(d.g, d.cfgReach)
-			for _, p := range pairs {
-				for _, tID := range st.steers[p.l] {
-					if !d.cfgReach(p.l, tID) || !d.nearFrom(p.l).win.Has(tID) || d.fenceBetween(p.s, tID) {
+			for _, nodes := range stlArchQueries(d) {
+				checkArchRef(t, s.name, d, ref, nodes)
+			}
+		}
+	}
+
+	shapes := map[int]int{} // query length → arch certificates compared
+	var cases []litmus.Case
+	cases = append(cases, litmus.PSF()...)
+	cases = append(cases, litmus.IMP()...)
+	cases = append(cases, litmus.SS()...)
+	for _, c := range cases {
+		s := refSubject{"litmus/" + c.Name, compile(t, c.Source), c.Fn}
+		for _, mk := range []func() Config{DefaultIMP, DefaultSS} {
+			d := newTestDetector(t, s, mk())
+			d.run()
+			ref := newRefArch(d.g, d.cfgReach)
+			for _, cert := range d.res.Certificates {
+				if cert.Kind != presolve.KindArchWitness {
+					continue
+				}
+				if want := ref.witness(cert.Arch.Nodes); !reflect.DeepEqual(cert, want) {
+					t.Fatalf("%s %s: engine certificate differs from the reference:\n got %+v\nwant %+v",
+						s.name, d.cfg.Engine, cert, want)
+				}
+				shapes[len(cert.Arch.Nodes)]++
+			}
+			// Every query of the engine's shape, witnessed or not: Clou-imp
+			// pairs two (index, data) feed edges, Clou-ss a feeding load
+			// with a store.
+			loads := d.loads()
+			switch d.cfg.Engine {
+			case IMP:
+				var feeds [][2]int
+				for _, dn := range loads {
+					for _, e := range d.feedsOf(dn.ID) {
+						feeds = append(feeds, [2]int{e.idx, dn.ID})
+					}
+				}
+				for _, a := range feeds {
+					for _, b := range feeds {
+						checkArchRef(t, s.name, d, ref, []int{a[0], a[1], b[0], b[1]})
+					}
+				}
+			case SS:
+				for _, st := range d.g.Nodes {
+					if !st.IsStore() || st.Instr == nil {
 						continue
 					}
-					nodes := []int{p.s, p.l, tID}
-					got, ok := d.ps.WitnessArch(nodes)
-					want := ref.witness(nodes)
-					if ok != (want != nil) || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s %s: arch witness of %v differs from the reference:\n got %+v\nwant %+v",
-							s.name, d.cfg.Engine, nodes, got, want)
+					for _, aID := range d.valueFeeders(st, loads) {
+						checkArchRef(t, s.name, d, ref, []int{aID, st.ID})
 					}
 				}
 			}
 		}
+	}
+	// Clou-imp's four waypoints collapse to fewer when its index and data
+	// instances coincide; the shapes that matter must each occur.
+	if shapes[4] == 0 || shapes[2] == 0 {
+		t.Fatalf("taxonomy engines issued no 4-node or no 2-node arch certificate: %v", shapes)
+	}
+}
+
+// TestArchPathsInterned pins WitnessArch's path interning on donna's
+// Montgomery ladder under Clou-stl: one replay per distinct take list,
+// certificates with equal take lists sharing one Path backing array, and
+// every Path equal to a fresh reference replay.
+func TestArchPathsInterned(t *testing.T) {
+	lib, ok := cryptolib.Lookup("donna")
+	if !ok {
+		t.Fatal("donna corpus entry missing")
+	}
+	d := newTestDetector(t, refSubject{"donna/crypto_scalarmult", compile(t, lib.Source), "crypto_scalarmult"}, DefaultSTL())
+	d.run()
+	ref := newRefArch(d.g, d.cfgReach)
+	paths := map[string]*int{} // take list → first element of its Path
+	certs := 0
+	for _, c := range d.res.Certificates {
+		if c.Kind != presolve.KindArchWitness {
+			continue
+		}
+		certs++
+		var kb strings.Builder
+		for _, bt := range c.Arch.Takes {
+			kb.WriteString(strconv.Itoa(bt.Branch))
+			kb.WriteString(strconv.FormatBool(bt.Take))
+			kb.WriteByte(',')
+		}
+		k := kb.String()
+		if p, seen := paths[k]; seen && p != &c.Arch.Path[0] {
+			t.Fatalf("arch certificate %s: equal take list, separate Path backing array", c.Key)
+		} else if !seen {
+			paths[k] = &c.Arch.Path[0]
+		}
+		want := ref.witness(c.Arch.Nodes)
+		if want == nil || !slices.Equal(c.Arch.Path, want.Arch.Path) {
+			t.Fatalf("arch certificate %s: Path differs from the reference replay", c.Key)
+		}
+	}
+	replays := d.ps.ArchReplays()
+	t.Logf("%d arch certificates, %d distinct take lists, %d replays", certs, len(paths), replays)
+	if replays != len(paths) {
+		t.Fatalf("%d replays for %d distinct take lists", replays, len(paths))
+	}
+	if certs <= replays {
+		t.Fatalf("%d certificates over %d replays: nothing was shared", certs, replays)
 	}
 }
 

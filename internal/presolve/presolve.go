@@ -105,16 +105,19 @@ type Analysis struct {
 	wit   map[witKey]*satWitness
 	wmemo map[string]*Certificate // queryKey → witness cert; nil = no witness found
 	amemo map[string]*Certificate // archKey → arch-witness cert; nil = none
+	paths map[string]*archPath    // false takes → interned replay (witness.go)
 
 	// Arch-witness state (witness.go), owned like everything here by the
 	// single detector goroutine that owns this Analysis: the entry BFS
 	// tree, the per-waypoint memo of the takes along its paths, the take
-	// assignment under construction, and bfsTree's epoch-stamped visit
-	// marks, so a witness clears and allocates no graph-sized table.
-	tree   []int32
-	prefix [][]BranchTake
-	takes  takeScratch
-	bfs    struct {
+	// assignment under construction, the interned replays and their
+	// count, and bfsTree's epoch-stamped visit marks, so a witness clears
+	// no graph-sized table and allocates one only to intern a new path.
+	tree    []int32
+	prefix  [][]BranchTake
+	takes   takeScratch
+	replays int // arch paths replayed (ArchReplays)
+	bfs     struct {
 		parent []int32
 		stamp  []uint32
 		epoch  uint32

@@ -2,9 +2,11 @@ package presolve
 
 import (
 	"cmp"
+	"encoding/binary"
 	"slices"
 
 	"lcm/internal/acfg"
+	"lcm/internal/dataflow"
 )
 
 // The witness rule is the dual of RefuteQuery: instead of proving a query
@@ -247,7 +249,7 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 	// the witness (impossible on a DAG, but checked rather than trusted).
 	// The entry prefix comes from the shared entry BFS tree; only the
 	// short waypoint-to-waypoint segments search.
-	sc := a.beginTakes()
+	a.beginTakes()
 	cur := g.Entry
 	for _, w := range ord {
 		if w == cur {
@@ -270,45 +272,121 @@ func (a *Analysis) buildArchWitness(key string, nodes []int) *Certificate {
 	}
 
 	// Replay the take assignment from entry: the selected path must visit
-	// every waypoint, and extends maximally so the arch Iff closes.
-	path := sc.path[:0]
-	for n := g.Entry; ; {
-		path = append(path, n)
-		sc.onPath[n] = sc.epoch
-		next, ok := a.selectedSucc(n)
-		if !ok || sc.onPath[next] == sc.epoch {
-			break
-		}
-		n = next
-	}
-	sc.path = path
+	// every waypoint. The replay is a pure function of the assignment, so
+	// queries that route identically share one interned path.
+	ap := a.replayArch()
 	for _, w := range ord {
-		if sc.onPath[w] != sc.epoch {
+		if !ap.member.Has(w) {
 			return nil
 		}
 	}
+	// Path/Takes alias the interned replay: it is immutable once built,
+	// certificates are read-only downstream, and a per-certificate copy of
+	// a path that runs entry to exit dominated this function's profile.
 	return &Certificate{
 		Kind: KindArchWitness,
 		Fn:   g.Fn,
 		Key:  key,
 		Arch: &ArchFact{
 			Nodes: dedupSorted(nodes),
-			Path:  slices.Clone(path),
-			Takes: sc.takeList(),
+			Path:  ap.path,
+			Takes: ap.takes,
 		},
 	}
 }
+
+// archPath is one interned replay: the take-selected maximal path from
+// entry, the full take assignment the replay completes (it assigns
+// take=true to every unassigned proper branch it crosses), and the
+// path's node set.
+type archPath struct {
+	path   []int
+	takes  []BranchTake
+	member dataflow.BitSet
+}
+
+// replayArch returns the path the current take assignment selects from
+// entry. The replay consults only false takes — an assigned true take
+// and an unassigned branch both route to the first successor — so the
+// path is a function of the false takes alone and is interned on their
+// sorted branch IDs. The completed assignment is then those false takes
+// plus take=true at every other proper branch on the path, provided each
+// assigned true take sits at a proper branch on the path (where the
+// replay would have assigned it anyway); an assignment with a true take
+// elsewhere is replayed without interning.
+func (a *Analysis) replayArch() *archPath {
+	sc := &a.takes
+	falses := sc.falses[:0]
+	for _, n := range sc.set {
+		if !sc.take[n] {
+			falses = append(falses, n)
+		}
+	}
+	slices.Sort(falses)
+	key := sc.key[:0]
+	for _, n := range falses {
+		key = binary.AppendUvarint(key, uint64(n))
+	}
+	sc.falses, sc.key = falses, key
+	if ap, ok := a.paths[string(key)]; ok && a.truesOnPath(ap) {
+		return ap
+	}
+
+	// The path extends maximally so the arch Iff closes.
+	a.replays++
+	g := a.f.G
+	path := sc.path[:0]
+	member := dataflow.NewBitSet(g.Len())
+	for n := g.Entry; ; {
+		path = append(path, n)
+		member.Set(n)
+		next, ok := a.selectedSucc(n)
+		if !ok || member.Has(next) {
+			break
+		}
+		n = next
+	}
+	sc.path = path
+	ap := &archPath{path: slices.Clone(path), takes: sc.takeList(), member: member}
+	if a.truesOnPath(ap) {
+		if a.paths == nil {
+			a.paths = map[string]*archPath{}
+		}
+		a.paths[string(key)] = ap
+	}
+	return ap
+}
+
+// truesOnPath reports whether every true take of the current assignment
+// is at a proper branch on ap's path.
+func (a *Analysis) truesOnPath(ap *archPath) bool {
+	sc := &a.takes
+	for _, n := range sc.set {
+		if sc.take[n] && (sc.alt[n] < 0 || !ap.member.Has(int(n))) {
+			return false
+		}
+	}
+	return true
+}
+
+// ArchReplays reports how many architectural paths WitnessArch has
+// replayed: one per distinct set of false takes its queries route by.
+func (a *Analysis) ArchReplays() int { return a.replays }
 
 // takeScratch is the take assignment under construction, as
 // epoch-stamped tables over node IDs: a witness starts a new epoch
 // instead of clearing (or allocating) a graph-sized table or a map.
 type takeScratch struct {
-	stamp  []uint32 // take[n] is assigned iff stamp[n] == epoch
-	take   []bool
-	onPath []uint32 // n is on the replayed path iff onPath[n] == epoch
-	epoch  uint32
-	set    []int32 // branches assigned this epoch, in assignment order
-	path   []int   // the replayed path, copied out on success
+	stamp []uint32 // take[n] is assigned iff stamp[n] == epoch
+	take  []bool
+	epoch uint32
+	set   []int32 // branches assigned this epoch, in assignment order
+	path  []int   // the replayed path, copied out per replay
+
+	// replayArch's interning key: the false takes' branches, sorted and
+	// varint-encoded.
+	falses []int32
+	key    []byte
 
 	// The routing table replays walk: next[n] is n's first successor (-1
 	// at an exit), alt[n] its second when n is a proper two-way branch
@@ -324,7 +402,6 @@ func (a *Analysis) beginTakes() *takeScratch {
 		n := g.Len()
 		sc.stamp = make([]uint32, n)
 		sc.take = make([]bool, n)
-		sc.onPath = make([]uint32, n)
 		sc.next = make([]int32, n)
 		sc.alt = make([]int32, n)
 		for id, node := range g.Nodes {
@@ -341,7 +418,6 @@ func (a *Analysis) beginTakes() *takeScratch {
 	sc.epoch++
 	if sc.epoch == 0 { // wraparound: drop every stale mark
 		clear(sc.stamp)
-		clear(sc.onPath)
 		sc.epoch = 1
 	}
 	sc.set = sc.set[:0]
